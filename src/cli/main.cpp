@@ -1,14 +1,6 @@
 // The `rebench` command-line tool — the user-facing surface of the
-// framework, shaped after the ReFrame invocations in the paper's appendix:
-//
-//   rebench list-systems
-//   rebench list-packages
-//   rebench spec 'hpgmg%gcc' --system archer2
-//   rebench run --benchmark babelstream --system noctua2 -S model=omp \
-//               --perflog perf.log --repeats 3 --account ec999
-//   rebench run --benchmark hpgmg --system archer2
-//   rebench report --perflog perf.log --fom Triad
-//   rebench history --perflog perf.log --detect
+// framework, shaped after the ReFrame invocations in the paper's appendix.
+// Every subcommand's flags are declared in commands.cpp.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -51,7 +43,6 @@
 #include "core/store/object_store.hpp"
 #include "core/telemetry/bus.hpp"
 #include "core/telemetry/http.hpp"
-#include "core/telemetry/probe.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 #include "core/util/table.hpp"
@@ -61,151 +52,6 @@
 
 namespace rebench::cli {
 namespace {
-
-int usage() {
-  std::cout <<
-      "rebench — automated and reproducible benchmarking\n"
-      "\n"
-      "subcommands:\n"
-      "  list-systems                     configured systems/partitions\n"
-      "  list-packages                    recipe repository contents\n"
-      "  spec <spec> --system S           concretize a spec on a system\n"
-      "       [--env-file F] [--trace]       (or a user-authored env file)\n"
-      "  run --benchmark B --system S     run a benchmark (babelstream |\n"
-      "      [-S key=value]... [--perflog F] [--repeats N] [--account A]\n"
-      "      [--trace DIR] [--faults SPEC]  hpcg | hpgmg) through the\n"
-      "      [--retries N] [--backoff-base S] [--backoff-max S] pipeline\n"
-      "      [--store DIR] [--no-cache]     --store keeps a content-\n"
-      "      [--metrics-out FILE]           addressed artifact store +\n"
-      "                                     provenance manifest and appends\n"
-      "                                     the campaign's FOMs to the\n"
-      "                                     performance history; builds are\n"
-      "                                     reused only on exact provenance\n"
-      "                                     match (--no-cache disables\n"
-      "                                     reuse); --metrics-out exports\n"
-      "                                     the metrics registry + FOMs as\n"
-      "                                     OpenMetrics text\n"
-      "      [--ci-halfwidth R]             adaptive run-length control:\n"
-      "      [--min-repeats N]              repeat each test until every\n"
-      "      [--max-repeats N]              FOM mean's 95% CI (ESS-\n"
-      "                                     corrected) is within +/-R\n"
-      "                                     relative half-width, between\n"
-      "                                     N_min and N_max repeats\n"
-      "      [--probe sim|real]             per-stage resource accounting:\n"
-      "                                     rusage deltas around build/run\n"
-      "                                     as x:rusage_* perflog extras,\n"
-      "                                     telemetry.probe spans and\n"
-      "                                     manifest facets ('sim' is the\n"
-      "                                     deterministic synthetic source;\n"
-      "                                     'real' reads getrusage)\n"
-      "  suite --system S [--tag T]       run the builtin suite, ReFrame\n"
-      "        [-n PAT] [-x PAT] [--perflog F]  style selection (-n/-x)\n"
-      "        [--trace DIR] [--faults FILE|SPEC] [--retries N]\n"
-      "        [--repeats N] [--resume DIR] [--quarantine-after N]\n"
-      "        [--store DIR] [--no-cache] [--jobs N] [--lanes N]\n"
-      "        [--metrics-out FILE] [--ci-halfwidth R]\n"
-      "        [--min-repeats N] [--max-repeats N] [--probe sim|real]\n"
-      "                                     --faults injects deterministic\n"
-      "                                     failures (seed=..,crash=..,\n"
-      "                                     node=..,preempt=..,build=..,\n"
-      "                                     corrupt=..,teldrop=..); --resume\n"
-      "                                     journals completed runs to DIR\n"
-      "                                     and skips them on rerun; --jobs\n"
-      "                                     runs campaigns on N workers with\n"
-      "                                     byte-identical perflog/trace/\n"
-      "                                     manifest output (kernel threads\n"
-      "                                     via REBENCH_THREADS env);\n"
-      "                                     --lanes sets the virtual-lane\n"
-      "                                     width profiling stamps into the\n"
-      "                                     trace (default 8, jobs-\n"
-      "                                     independent)\n"
-      "  replay <manifest>                re-execute a campaign manifest\n"
-      "                                     from scratch and diff the\n"
-      "                                     regenerated perflog/trace bytes\n"
-      "                                     against the recorded hashes\n"
-      "                                     (exit 1 on divergence)\n"
-      "  trace-report <file> [--tree]     per-stage timing + metrics from a\n"
-      "               [--json] [--chrome F]  trace JSONL (--trace output);\n"
-      "                                     --json emits the machine-\n"
-      "                                     readable report, --chrome a\n"
-      "                                     chrome://tracing export\n"
-      "  profile <file> [--json]          campaign schedule profiling from\n"
-      "          [--chrome F]               a trace: lane Gantt + busy/idle/\n"
-      "          [--diff A B]               blocked utilization + critical\n"
-      "          [--threshold 0.05]         path with self/child attribution\n"
-      "                                     (needs exec.worker lane stamps;\n"
-      "                                     run-mode traces profile on one\n"
-      "                                     lane); --chrome exports the\n"
-      "                                     catapult JSON, --diff aligns\n"
-      "                                     two traces by span path and\n"
-      "                                     exits 1 on duration regressions\n"
-      "                                     above the threshold\n"
-      "  env --system S                   captured system environment\n"
-      "  audit --perflog F [--strict]     Bailey/Hoefler-Belli hygiene audit\n"
-      "        [--manifest M]               (--manifest also flags results\n"
-      "                                     from stale artifacts)\n"
-      "  report --perflog F [--fom NAME]  tabulate/plot perflog contents;\n"
-      "         [--stats] [--plot]           --frame-cache keeps a verified\n"
-      "         [--frame-cache DIR]          columnar copy of the perflog\n"
-      "                                     (content-hash keyed; reused\n"
-      "                                     until the file changes)\n"
-      "  history [<test> [<target>]]      longitudinal FOM history from a\n"
-      "          --store DIR [--json]       campaign store: per-(test,\n"
-      "          [--window N] [--check]     target, fom) trend tables with\n"
-      "          [--threshold 0.05]         sparklines, rolling mean/stddev\n"
-      "                                     and deterministic changepoint\n"
-      "                                     flags; --check gates the newest\n"
-      "                                     record against the rolling\n"
-      "                                     baseline: a threshold-sized\n"
-      "                                     drop regresses only when it is\n"
-      "                                     statistically significant\n"
-      "                                     (baseline CI band), justified\n"
-      "                                     by an EDM changepoint scan;\n"
-      "                                     --json emits the machine-\n"
-      "                                     readable verdicts (exit 0 ok,\n"
-      "                                     1 on regression, 2 usage/no\n"
-      "                                     records)\n"
-      "  history --perflog F [--detect]   legacy perflog history +\n"
-      "          [--window N] [--sigmas X]  regression detection\n"
-      "          [--frame-cache DIR]\n"
-      "  compare --before A --after B     before/after perflog comparison\n"
-      "          [--threshold 0.05]         (CI gate: exit 1 on regression)\n"
-      "          [--frame-cache DIR]\n"
-      "  submit --queue DIR ...           enqueue a run/suite invocation\n"
-      "                                     for `serve` (same flags as\n"
-      "                                     run/suite; atomic + idempotent\n"
-      "                                     by content hash)\n"
-      "  serve --queue DIR --store DIR    crash-safe continuous-\n"
-      "        [--once] [--jobs N]          benchmarking daemon: drains the\n"
-      "        [--stage-timeout S]          queue with run-level\n"
-      "        [--submission-timeout S]     memoization (verdicts: cached |\n"
-      "        [--quarantine-after N]       ran:clean | ran:regressed |\n"
-      "        [--trace DIR]                failed:<class>), write-ahead\n"
-      "        [--metrics-out FILE]         journal for exactly-once crash\n"
-      "        [--request-drain]            resume, watchdogs, crash-loop\n"
-      "        [--clear-drain]              quarantine and graceful drain\n"
-      "        [--listen HOST:PORT]         (SIGTERM or --request-drain);\n"
-      "                                     health snapshot refreshed in\n"
-      "                                     QUEUE/health.json after every\n"
-      "                                     verdict; --listen exposes the\n"
-      "                                     live HTTP status endpoint\n"
-      "                                     (GET /health | /metrics |\n"
-      "                                     /verdicts?since=N |\n"
-      "                                     /submissions/<id>; port 0 =\n"
-      "                                     ephemeral, bound address in\n"
-      "                                     QUEUE/endpoint.addr); crashes\n"
-      "                                     and failed:* verdicts dump the\n"
-      "                                     event-bus ring to\n"
-      "                                     QUEUE/flightrec-<seq>.jsonl\n"
-      "  status --queue DIR [--follow]    live view of a serve queue via\n"
-      "         [--fetch PATH]              the --listen endpoint (fallback:\n"
-      "                                     health.json), plus the newest\n"
-      "                                     flight record; --fetch prints\n"
-      "                                     one endpoint response verbatim,\n"
-      "                                     --follow streams verdicts as\n"
-      "                                     they are filed\n";
-  return 2;
-}
 
 int listSystems() {
   const SystemRegistry systems = builtinSystems();
@@ -253,11 +99,17 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
+/// A perflog's entries, read through the --frame-cache columnar copy when
+/// one was asked for (content-hash keyed and verified: the same entries).
+std::vector<PerfLogEntry> readPerflogEntries(const Args& args,
+                                             const std::string& path) {
+  const auto cacheDir = args.option("frame-cache");
+  if (!cacheDir) return PerfLog::readFile(path);
+  store::ObjectStore cache(*cacheDir);
+  return tableToPerflogEntries(loadOrConvertPerflog(cache, path).table);
+}
+
 int showSpec(const Args& args) {
-  if (args.positionals().empty()) {
-    std::cerr << "spec: missing spec string\n";
-    return 2;
-  }
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
   // --env-file lets a user concretize against a hand-authored system
@@ -266,8 +118,8 @@ int showSpec(const Args& args) {
   if (auto envFile = args.option("env-file")) {
     environment = parseEnvironmentConfig(slurp(*envFile));
   } else {
-    environment =
-        systems.resolve(args.optionOr("system", "local")).first->environment;
+    environment = systems.resolve(args.option("system").value_or("local"))
+                      .first->environment;
   }
   Concretizer concretizer(repo, environment);
   const ConcretizationResult result =
@@ -282,9 +134,11 @@ int showSpec(const Args& args) {
   return 0;
 }
 
-/// Builds the run-mode test from a normalized invocation (directly from
-/// the CLI flags, or re-hydrated from a campaign manifest by `replay`).
+/// Builds the run-mode test from a normalized invocation (from CLI flags,
+/// a manifest under `replay` or a queued submission under `serve`).  Bad
+/// settings are a UsageError: exit 2, or a permanent failure under serve.
 RegressionTest buildTest(const store::CampaignInvocation& inv) {
+  for (const auto& [key, value] : inv.settings) checkSetting(key, value);
   if (inv.benchmark == "babelstream") {
     babelstream::BabelstreamTestOptions options;
     if (inv.ntimes > 0) options.ntimes = inv.ntimes;
@@ -321,23 +175,20 @@ RegressionTest buildTest(const store::CampaignInvocation& inv) {
     }
     return hpgmg::makeHpgmgTest(options);
   }
-  throw ParseError("--benchmark must be babelstream, hpcg or hpgmg (got '" +
+  throw UsageError("--benchmark must be babelstream, hpcg or hpgmg (got '" +
                    inv.benchmark + "')");
 }
 
 int showEnv(const Args& args) {
   const SystemRegistry systems = builtinSystems();
-  const auto [sys, part] = systems.resolve(args.optionOr("system", "local"));
+  const auto [sys, part] =
+      systems.resolve(args.option("system").value_or("local"));
   std::cout << sys->environment.renderConfig();
   return 0;
 }
 
 int audit(const Args& args) {
   const auto path = args.option("perflog");
-  if (!path) {
-    std::cerr << "audit: --perflog required\n";
-    return 2;
-  }
   HygieneOptions options;
   options.requireReferences = args.hasFlag("strict");
   auto findings = auditPerflogFile(*path, options);
@@ -433,65 +284,6 @@ struct TraceSession {
   }
 };
 
-/// Validates the run-length flags shared by run/suite/submit: --repeats
-/// and the adaptive --min-repeats/--max-repeats/--ci-halfwidth family
-/// must be positive.  A negative value such as `--repeats -1` parses as
-/// a valueless flag (the '-1' token looks like an option to the
-/// parser), so both spellings are rejected here.  Returns the error
-/// message, or nullopt when the flags are sound.
-std::optional<std::string> runLengthFlagError(const Args& args) {
-  for (const std::string_view name :
-       {"repeats", "min-repeats", "max-repeats"}) {
-    if (args.hasFlag(name)) {
-      return "--" + std::string(name) + " expects a positive integer";
-    }
-    if (args.option(name).has_value() && args.intOptionOr(name, 1) <= 0) {
-      return "--" + std::string(name) + " must be >= 1 (got " +
-             *args.option(name) + ")";
-    }
-  }
-  if (args.hasFlag("ci-halfwidth")) {
-    return std::string(
-        "--ci-halfwidth expects a positive relative half-width "
-        "(e.g. 0.05)");
-  }
-  if (args.option("ci-halfwidth").has_value() &&
-      args.doubleOptionOr("ci-halfwidth", 1.0) <= 0.0) {
-    return "--ci-halfwidth must be > 0 (got " +
-           *args.option("ci-halfwidth") + ")";
-  }
-  const int minRepeats = args.intOptionOr("min-repeats", -1);
-  const int maxRepeats = args.intOptionOr("max-repeats", -1);
-  if (minRepeats > 0 && maxRepeats > 0 && maxRepeats < minRepeats) {
-    return std::string("--max-repeats must be >= --min-repeats");
-  }
-  return std::nullopt;
-}
-
-/// Validates --probe (shared by run/suite/submit): it must name a real
-/// probe mode; a bare `--probe` parses as a valueless flag.
-std::optional<std::string> probeFlagError(const Args& args) {
-  if (args.hasFlag("probe")) {
-    return std::string("--probe expects a mode ('sim' or 'real')");
-  }
-  const std::string name = args.optionOr("probe", "");
-  telemetry::ProbeMode mode = telemetry::ProbeMode::kOff;
-  if (!telemetry::probeModeFromName(name, &mode)) {
-    return "--probe must be 'sim' or 'real' (got '" + name + "')";
-  }
-  return std::nullopt;
-}
-
-/// A valueless `--frame-cache` parses as a flag; reject it explicitly so a
-/// forgotten DIR doesn't silently fall back to parsing the perflog every
-/// invocation.
-std::optional<std::string> frameCacheFlagError(const Args& args) {
-  if (args.hasFlag("frame-cache")) {
-    return std::string("--frame-cache expects a directory");
-  }
-  return std::nullopt;
-}
-
 /// Prints the adaptive controller's per-(test, target, fom) decisions.
 void printInferenceDecisions(const infer::ControllerReport& inference) {
   for (const infer::FomDecision& d : inference.decisions) {
@@ -512,16 +304,16 @@ store::CampaignInvocation invocationFromArgs(const Args& args,
                                              const std::string& mode) {
   store::CampaignInvocation inv;
   inv.mode = mode;
-  inv.system = args.optionOr("system", "local");
-  inv.account = args.optionOr("account", "ec999");
+  inv.system = args.option("system").value_or("local");
+  inv.account = args.option("account").value_or("ec999");
   inv.repeats = args.intOptionOr("repeats", 1);
-  inv.benchmark = args.optionOr("benchmark", "");
+  inv.benchmark = args.option("benchmark").value_or("");
   inv.ntimes = args.intOptionOr("ntimes", -1);
   inv.settings = args.settings();
-  inv.tag = args.optionOr("tag", "");
-  inv.namePattern = args.optionOr("n", "");
-  inv.excludePattern = args.optionOr("x", "");
-  inv.faults = args.optionOr("faults", "");
+  inv.tag = args.option("tag").value_or("");
+  inv.namePattern = args.option("n").value_or("");
+  inv.excludePattern = args.option("x").value_or("");
+  inv.faults = args.option("faults").value_or("");
   inv.retries = args.intOptionOr("retries", -1);
   inv.backoffBase = args.doubleOptionOr("backoff-base", -1.0);
   inv.backoffMultiplier = args.doubleOptionOr("backoff-mult", -1.0);
@@ -534,20 +326,12 @@ store::CampaignInvocation invocationFromArgs(const Args& args,
   inv.maxRepeats = args.intOptionOr("max-repeats", -1);
   inv.withStore = args.option("store").has_value();
   inv.cache = !args.hasFlag("no-cache");
-  inv.probe = args.optionOr("probe", "");
+  inv.probe = args.option("probe").value_or("");
+  if (inv.minRepeats > 0 && inv.maxRepeats > 0 &&
+      inv.maxRepeats < inv.minRepeats) {
+    throw UsageError("--max-repeats must be >= --min-repeats");
+  }
   return inv;
-}
-
-/// Expands an invocation into pipeline options (shared with the serve
-/// daemon so both resolve flags identically — see service/record).
-PipelineOptions optionsFromInvocation(const store::CampaignInvocation& inv) {
-  return service::pipelineOptionsFor(inv);
-}
-
-/// Serializes perflog lines to the byte stream a manifest hashes
-/// (shared with the serve daemon — see service/record).
-std::string perflogBytes(const PerfLog& perflog) {
-  return service::perflogBytes(perflog);
 }
 
 /// Store state for one CLI invocation; active when --store DIR was given.
@@ -627,26 +411,18 @@ struct StoreSession {
 };
 
 int runBenchmark(const Args& args) {
-  if (const auto error = runLengthFlagError(args)) {
-    std::cerr << "run: " << *error << "\n";
-    return usage();
-  }
-  if (const auto error = probeFlagError(args)) {
-    std::cerr << "run: " << *error << "\n";
-    return usage();
-  }
+  const store::CampaignInvocation invocation = invocationFromArgs(args, "run");
+  const RegressionTest test = buildTest(invocation);
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
-  const store::CampaignInvocation invocation = invocationFromArgs(args, "run");
-  PipelineOptions options = optionsFromInvocation(invocation);
+  PipelineOptions options = service::pipelineOptionsFor(invocation);
   TraceSession trace(args);
   trace.attach(options);
   StoreSession storeSession(args);
   storeSession.attach(options);
   Pipeline pipeline(systems, repo, options);
 
-  PerfLog perflog(args.optionOr("perflog", ""));
-  const RegressionTest test = buildTest(invocation);
+  PerfLog perflog(args.option("perflog").value_or(""));
   const std::string target = invocation.system;
 
   std::vector<TestRunResult> results;
@@ -726,29 +502,21 @@ int runBenchmark(const Args& args) {
 }
 
 int runSuite(const Args& args) {
-  if (const auto error = runLengthFlagError(args)) {
-    std::cerr << "suite: " << *error << "\n";
-    return usage();
-  }
-  if (const auto error = probeFlagError(args)) {
-    std::cerr << "suite: " << *error << "\n";
-    return usage();
-  }
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
   const store::CampaignInvocation invocation =
       invocationFromArgs(args, "suite");
-  PipelineOptions options = optionsFromInvocation(invocation);
+  PipelineOptions options = service::pipelineOptionsFor(invocation);
   // Deliberately not part of the invocation/manifest: output bytes are
   // identical for every job count, so the manifest stays jobs-invariant
   // (and replay may use any worker count).
-  options.jobs = std::max(1, args.intOptionOr("jobs", 1));
+  options.jobs = args.intOptionOr("jobs", 1);
   TraceSession trace(args);
   trace.attach(options);
   StoreSession storeSession(args);
   storeSession.attach(options);
   Pipeline pipeline(systems, repo, options);
-  PerfLog perflog(args.optionOr("perflog", ""));
+  PerfLog perflog(args.option("perflog").value_or(""));
 
   std::optional<RunJournal> journal;
   if (auto resumeDir = args.option("resume")) {
@@ -764,10 +532,7 @@ int runSuite(const Args& args) {
       suite.select(invocation.tag, invocation.namePattern,
                    invocation.excludePattern, options.tracer,
                    options.metrics);
-  if (selected.empty()) {
-    std::cerr << "suite: no tests match the selection\n";
-    return 2;
-  }
+  if (selected.empty()) throw UsageError("no tests match the selection");
   const std::vector<std::string> targets{invocation.system};
   CampaignReport report;
   service::CampaignExecution execution = service::executeCampaign(
@@ -818,18 +583,13 @@ int runSuite(const Args& args) {
 /// byte-exact; any divergence means the campaign is not reproducible
 /// from its manifest (code, environment or configuration drifted).
 int replay(const Args& args) {
-  if (args.positionals().empty()) {
-    std::cerr << "replay: missing manifest path\n";
-    return 2;
-  }
   const std::string manifestPath = args.positionals().front();
   const store::CampaignManifest manifest =
       store::CampaignManifest::read(manifestPath);
   const store::CampaignInvocation& invocation = manifest.invocation;
   if (invocation.mode != "run" && invocation.mode != "suite") {
-    std::cerr << "replay: manifest records no replayable invocation (mode '"
-              << invocation.mode << "')\n";
-    return 2;
+    throw UsageError("manifest records no replayable invocation (mode '" +
+                     invocation.mode + "')");
   }
   bool wantTrace = false;
   for (const store::ArtifactRecord& artifact : manifest.artifacts) {
@@ -838,7 +598,7 @@ int replay(const Args& args) {
 
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
-  PipelineOptions options = optionsFromInvocation(invocation);
+  PipelineOptions options = service::pipelineOptionsFor(invocation);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   if (wantTrace) {
@@ -885,7 +645,7 @@ int replay(const Args& args) {
   }
 
   std::map<std::string, std::string> replayed;
-  replayed["perflog"] = perflogBytes(perflog);
+  replayed["perflog"] = service::perflogBytes(perflog);
   if (wantTrace) replayed["trace"] = tracer.toJsonl(&metrics);
   if (!scratch.empty()) std::filesystem::remove_all(scratch);
 
@@ -920,10 +680,6 @@ void writeChromeTrace(const obs::TraceFile& trace, const std::string& path,
 }
 
 int traceReport(const Args& args) {
-  if (args.positionals().empty()) {
-    std::cerr << "trace-report: missing trace file\n";
-    return 2;
-  }
   const obs::TraceFile trace =
       obs::readTraceFile(args.positionals().front());
   const std::vector<std::string> issues = obs::lintTrace(trace);
@@ -955,15 +711,10 @@ int traceReport(const Args& args) {
 /// candidate regressed beyond --threshold.
 int profileCommand(const Args& args) {
   if (auto baseline = args.option("diff")) {
-    // Parsed as `--diff A` (option) + `B` (positional).
-    if (args.positionals().empty()) {
-      std::cerr << "profile: --diff needs two traces "
-                   "(rebench profile --diff A B)\n";
-      return 2;
-    }
+    // Parsed as `--diff A` (option) + `B` (the operand).
     const obs::TraceFile a = obs::readTraceFile(*baseline);
     const obs::TraceFile b = obs::readTraceFile(args.positionals().front());
-    const double threshold = std::stod(args.optionOr("threshold", "0.05"));
+    const double threshold = args.doubleOptionOr("threshold", 0.05);
     const postproc::TraceDiff diff = postproc::diffTraces(a, b, threshold);
     if (args.hasFlag("json")) {
       std::cout << "{\"schema\":\"rebench.profile_diff/1\",\"diff\":"
@@ -974,10 +725,6 @@ int profileCommand(const Args& args) {
     return diff.regressions() == 0 ? 0 : 1;
   }
 
-  if (args.positionals().empty()) {
-    std::cerr << "profile: missing trace file\n";
-    return 2;
-  }
   const obs::TraceFile trace =
       obs::readTraceFile(args.positionals().front());
   for (const std::string& issue : obs::lintTrace(trace)) {
@@ -1004,14 +751,6 @@ int profileCommand(const Args& args) {
 
 int report(const Args& args) {
   const auto path = args.option("perflog");
-  if (!path) {
-    std::cerr << "report: --perflog required\n";
-    return 2;
-  }
-  if (const auto error = frameCacheFlagError(args)) {
-    std::cerr << "report: " << *error << "\n";
-    return 2;
-  }
   DataFrame frame;
   if (const auto cacheDir = args.option("frame-cache")) {
     // Columnar cache path: same bytes out, but repeat reads of a large
@@ -1080,26 +819,9 @@ int report(const Args& args) {
 int compare(const Args& args) {
   const auto before = args.option("before");
   const auto after = args.option("after");
-  if (!before || !after) {
-    std::cerr << "compare: --before and --after perflogs required\n";
-    return 2;
-  }
-  if (const auto error = frameCacheFlagError(args)) {
-    std::cerr << "compare: " << *error << "\n";
-    return 2;
-  }
-  const double threshold =
-      std::stod(args.optionOr("threshold", "0.05"));
-
-  std::optional<store::ObjectStore> frameCache;
-  if (const auto cacheDir = args.option("frame-cache")) {
-    frameCache.emplace(*cacheDir);
-  }
-  auto collect = [&frameCache](const std::string& path) {
-    const std::vector<PerfLogEntry> entries =
-        frameCache
-            ? tableToPerflogEntries(loadOrConvertPerflog(*frameCache, path).table)
-            : PerfLog::readFile(path);
+  const double threshold = args.doubleOptionOr("threshold", 0.05);
+  auto collect = [&args](const std::string& path) {
+    const std::vector<PerfLogEntry> entries = readPerflogEntries(args, path);
     std::map<std::string, std::vector<double>> series;
     for (const PerfLogEntry& entry : entries) {
       // Adaptive campaigns append result=summary aggregate rows; only
@@ -1156,16 +878,10 @@ int storeHistory(const Args& args, const std::string& storeDir) {
   const std::vector<history::HistoryRecord> records =
       index.query(test, target);
 
-  // `--check` is a flag when trailing but swallows a following bare
-  // token as its value; accept both spellings.
-  if (args.hasFlag("check") || args.option("check").has_value()) {
-    if (records.empty()) {
-      std::cerr << "history: no matching records to gate\n";
-      return 2;
-    }
+  if (args.hasFlag("check")) {
+    if (records.empty()) throw UsageError("no matching records to gate");
     history::GateOptions gate;
-    gate.window = static_cast<std::size_t>(
-        std::max(1, args.intOptionOr("window", 5)));
+    gate.window = static_cast<std::size_t>(args.intOptionOr("window", 5));
     gate.threshold = args.doubleOptionOr("threshold", 0.05);
     const std::vector<history::GateResult> verdicts =
         history::checkRegression(records, gate);
@@ -1226,8 +942,7 @@ int storeHistory(const Args& args, const std::string& storeDir) {
 
   history::RenderOptions options;
   options.json = args.hasFlag("json");
-  options.window = static_cast<std::size_t>(
-      std::max(1, args.intOptionOr("window", 5)));
+  options.window = static_cast<std::size_t>(args.intOptionOr("window", 5));
   options.changepoint.relThreshold = args.doubleOptionOr("threshold", 0.05);
   std::cout << history::renderHistory(records, options);
   return 0;
@@ -1238,21 +953,8 @@ int history(const Args& args) {
     return storeHistory(args, *storeDir);
   }
   const auto path = args.option("perflog");
-  if (!path) {
-    std::cerr << "history: --store DIR or --perflog F required\n";
-    return 2;
-  }
-  if (const auto error = frameCacheFlagError(args)) {
-    std::cerr << "history: " << *error << "\n";
-    return 2;
-  }
-  std::vector<PerfLogEntry> all;
-  if (const auto cacheDir = args.option("frame-cache")) {
-    store::ObjectStore cache(*cacheDir);
-    all = tableToPerflogEntries(loadOrConvertPerflog(cache, *path).table);
-  } else {
-    all = PerfLog::readFile(*path);
-  }
+  if (!path) throw UsageError("--store DIR or --perflog F is required");
+  std::vector<PerfLogEntry> all = readPerflogEntries(args, *path);
   PerfHistory perfHistory;
   std::vector<PerfLogEntry> entries;
   for (PerfLogEntry& entry : all) {
@@ -1264,7 +966,7 @@ int history(const Args& args) {
 
   DetectorOptions options;
   options.window = args.intOptionOr("window", 8);
-  options.sigmas = std::stod(args.optionOr("sigmas", "3.0"));
+  options.sigmas = args.doubleOptionOr("sigmas", 3.0);
   const auto events =
       args.hasFlag("detect") ? perfHistory.detect(options)
                              : std::vector<RegressionEvent>{};
@@ -1295,26 +997,12 @@ std::vector<RegressionTest> resolveSubmissionTests(
 /// `rebench submit` — drops one campaign invocation into a serve queue
 /// (tmp + atomic rename; idempotent by content hash).
 int submitCommand(const Args& args) {
-  if (const auto error = runLengthFlagError(args)) {
-    std::cerr << "submit: " << *error << "\n";
-    return usage();
-  }
-  if (const auto error = probeFlagError(args)) {
-    std::cerr << "submit: " << *error << "\n";
-    return usage();
-  }
-  const auto queueDir = args.option("queue");
-  if (!queueDir) {
-    std::cerr << "submit: --queue DIR required\n";
-    return 2;
-  }
   const std::string mode = args.option("benchmark") ? "run" : "suite";
   store::CampaignInvocation inv = invocationFromArgs(args, mode);
-  // Submissions always execute against the daemon's store; only build
-  // reuse stays configurable.
+  // Submissions always execute against the daemon's store.
   inv.withStore = true;
-  inv.cache = !args.hasFlag("no-cache");
-  const service::Submission sub = service::enqueueSubmission(*queueDir, inv);
+  const service::Submission sub =
+      service::enqueueSubmission(*args.option("queue"), inv);
   std::cout << "submitted " << sub.id << " (" << mode << " @ " << inv.system
             << ") -> " << sub.path << "\n";
   return 0;
@@ -1324,21 +1012,18 @@ int submitCommand(const Args& args) {
 /// service/service.hpp and DESIGN.md §14).
 int serveCommand(const Args& args) {
   const auto queueDir = args.option("queue");
-  if (queueDir && args.hasFlag("request-drain")) {
+  if (args.hasFlag("request-drain")) {
     service::requestDrain(*queueDir);
     std::cout << "serve: drain requested for " << *queueDir << "\n";
     return 0;
   }
-  if (queueDir && args.hasFlag("clear-drain")) {
+  if (args.hasFlag("clear-drain")) {
     service::clearDrainRequest(*queueDir);
     std::cout << "serve: drain request cleared for " << *queueDir << "\n";
     return 0;
   }
   const auto storeDir = args.option("store");
-  if (!queueDir || !storeDir) {
-    std::cerr << "serve: --queue DIR and --store DIR required\n";
-    return 2;
-  }
+  if (!storeDir) throw UsageError("--store DIR is required");
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
   TraceSession trace(args);
@@ -1347,18 +1032,13 @@ int serveCommand(const Args& args) {
   options.queueDir = *queueDir;
   options.storeDir = *storeDir;
   options.once = args.hasFlag("once");
-  options.jobs = std::max(1, args.intOptionOr("jobs", 1));
-  options.quarantineAfter =
-      std::max(1, args.intOptionOr("quarantine-after", 3));
+  options.jobs = args.intOptionOr("jobs", 1);
+  options.quarantineAfter = args.intOptionOr("quarantine-after", 3);
   options.stageTimeout = args.doubleOptionOr("stage-timeout", -1.0);
   options.submissionTimeout =
       args.doubleOptionOr("submission-timeout", -1.0);
-  options.crashAfter = args.optionOr("crash-after", "");
-  if (args.hasFlag("listen")) {
-    std::cerr << "serve: --listen expects HOST:PORT (port 0 = ephemeral)\n";
-    return 2;
-  }
-  options.listen = args.optionOr("listen", "");
+  options.crashAfter = args.option("crash-after").value_or("");
+  options.listen = args.option("listen").value_or("");
   if (trace.active()) options.tracer = &trace.tracer;
   if (trace.active() || trace.metricsOut.has_value()) {
     options.metrics = &trace.metrics;
@@ -1514,28 +1194,18 @@ void printFlightRecordSummary(const std::string& queueDir) {
 /// in-test HTTP client); --follow streams /verdicts as they are filed.
 int statusCommand(const Args& args) {
   const auto queueDir = args.option("queue");
-  if (!queueDir) {
-    std::cerr << "status: --queue DIR required\n";
-    return 2;
-  }
   const std::string addr = readEndpointAddress(*queueDir);
 
+  if ((args.option("fetch") || args.hasFlag("follow")) && addr.empty()) {
+    throw UsageError("--fetch and --follow need a live endpoint (" +
+                     *queueDir + "/endpoint.addr missing)");
+  }
   if (const auto fetch = args.option("fetch")) {
-    if (addr.empty()) {
-      std::cerr << "status: no live endpoint (" << *queueDir
-                << "/endpoint.addr missing)\n";
-      return 2;
-    }
     std::cout << telemetry::httpGet(addr, *fetch);
     return 0;
   }
 
   if (args.hasFlag("follow")) {
-    if (addr.empty()) {
-      std::cerr << "status: --follow needs a live endpoint (" << *queueDir
-                << "/endpoint.addr missing)\n";
-      return 2;
-    }
     std::uint64_t since = 0;
     while (true) {
       std::string body;
@@ -1596,23 +1266,21 @@ int statusCommand(const Args& args) {
 }
 
 int dispatch(const Args& args) {
-  if (args.subcommand() == "list-systems") return listSystems();
-  if (args.subcommand() == "list-packages") return listPackages();
-  if (args.subcommand() == "spec") return showSpec(args);
-  if (args.subcommand() == "env") return showEnv(args);
-  if (args.subcommand() == "audit") return audit(args);
-  if (args.subcommand() == "run") return runBenchmark(args);
-  if (args.subcommand() == "suite") return runSuite(args);
-  if (args.subcommand() == "replay") return replay(args);
-  if (args.subcommand() == "report") return report(args);
-  if (args.subcommand() == "trace-report") return traceReport(args);
-  if (args.subcommand() == "profile") return profileCommand(args);
-  if (args.subcommand() == "history") return history(args);
-  if (args.subcommand() == "compare") return compare(args);
-  if (args.subcommand() == "submit") return submitCommand(args);
-  if (args.subcommand() == "serve") return serveCommand(args);
-  if (args.subcommand() == "status") return statusCommand(args);
-  return usage();
+  static const std::map<std::string_view, int (*)(const Args&)> kHandlers = {
+      {"list-systems", [](const Args&) { return listSystems(); }},
+      {"list-packages", [](const Args&) { return listPackages(); }},
+      {"spec", showSpec},          {"env", showEnv},
+      {"audit", audit},            {"run", runBenchmark},
+      {"suite", runSuite},         {"replay", replay},
+      {"report", report},          {"trace-report", traceReport},
+      {"profile", profileCommand}, {"history", history},
+      {"compare", compare},        {"submit", submitCommand},
+      {"serve", serveCommand},     {"status", statusCommand}};
+  if (args.subcommand().empty()) {
+    std::cout << usageText();
+    return 2;
+  }
+  return kHandlers.at(args.subcommand())(args);
 }
 
 }  // namespace
@@ -1620,9 +1288,12 @@ int dispatch(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    const rebench::cli::Args args = rebench::cli::Args::parse(argc, argv);
-    return rebench::cli::dispatch(args);
-  } catch (const rebench::Error& e) {
+    return rebench::cli::dispatch(rebench::cli::Args::parse(argc, argv));
+  } catch (const rebench::cli::UsageError& e) {
+    std::cerr << "rebench " << (argc > 1 ? argv[1] : "") << ": " << e.what()
+              << "\n";
+    return 2;
+  } catch (const std::exception& e) {
     std::cerr << "rebench: " << e.what() << "\n";
     return 1;
   }
