@@ -18,6 +18,7 @@
 #include "babelstream/testcase.hpp"
 #include "cli/args.hpp"
 #include "core/concretizer/concretizer.hpp"
+#include "core/fault/journal.hpp"
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
 #include "core/infer/controller.hpp"
@@ -90,15 +91,6 @@ int listPackages() {
   return 0;
 }
 
-/// Reads a whole file into a string; throws Error when unreadable.
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read file '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 /// A perflog's entries, read through the --frame-cache columnar copy when
 /// one was asked for (content-hash keyed and verified: the same entries).
 std::vector<PerfLogEntry> readPerflogEntries(const Args& args,
@@ -116,7 +108,9 @@ int showSpec(const Args& args) {
   // environment (see `rebench env` for the format) without recompiling.
   SystemEnvironment environment;
   if (auto envFile = args.option("env-file")) {
-    environment = parseEnvironmentConfig(slurp(*envFile));
+    const std::optional<std::string> text = readWholeFile(*envFile);
+    if (!text) throw Error("cannot read file '" + *envFile + "'");
+    environment = parseEnvironmentConfig(*text);
   } else {
     environment = systems.resolve(args.option("system").value_or("local"))
                       .first->environment;
@@ -1247,13 +1241,10 @@ int statusCommand(const Args& args) {
   if (!printed) {
     const std::string healthPath =
         (std::filesystem::path(*queueDir) / "health.json").string();
-    std::ifstream in(healthPath);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
+    if (const auto text = readWholeFile(healthPath)) {
       std::cout << "status: snapshot from " << healthPath
                 << " (no live endpoint)\n";
-      printHealthFields(obs::json::parse(str::trim(text.str())));
+      printHealthFields(obs::json::parse(str::trim(*text)));
       printed = true;
     }
   }

@@ -5,7 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
-#include <vector>
+#include <sstream>
 
 #include "core/obs/json.hpp"
 #include "core/util/error.hpp"
@@ -66,6 +66,55 @@ void durableWriteFile(const std::string& path, std::string_view bytes) {
   }
 }
 
+std::optional<std::string> readWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return std::move(bytes).str();
+}
+
+std::size_t openJsonLog(
+    const std::string& path, std::string_view schema,
+    const std::function<void(const obs::json::Value&)>& visit) {
+  if (!std::filesystem::exists(path)) {
+    durableAppendLine(path, "{\"kind\":\"meta\",\"schema\":" +
+                                obs::json::quote(schema) + "}");
+    return 0;
+  }
+  const std::optional<std::string> text = readWholeFile(path);
+  if (!text) throw Error("cannot read log '" + path + "'");
+  std::size_t corrupt = 0;
+  std::string intact;
+  for (const std::string& line : str::split(*text, '\n')) {
+    if (str::trim(line).empty()) continue;
+    obs::json::Value record;
+    try {
+      record = obs::json::parse(line);
+    } catch (const ParseError&) {
+      // The torn tail of a crash mid-append: the record it belonged to
+      // never durably happened.
+      ++corrupt;
+      continue;
+    }
+    intact.append(line).push_back('\n');
+    if (!record.isObject()) continue;
+    if (record.stringOr("kind", "") != "meta") {
+      visit(record);
+    } else if (const std::string found = record.stringOr("schema", "");
+               found != schema) {
+      throw Error("log '" + path + "' has schema '" + found +
+                  "' (expected '" + std::string(schema) + "')");
+    }
+  }
+  // Truncate the torn tail so the next append lands after the last
+  // intact record instead of being glued onto a partial line.
+  if (corrupt > 0 || (!text->empty() && text->back() != '\n')) {
+    durableWriteFile(path, intact);
+  }
+  return corrupt;
+}
+
 std::string RunJournal::pathFor(const std::string& dir) {
   return (std::filesystem::path(dir) / "journal.jsonl").string();
 }
@@ -78,43 +127,13 @@ std::string RunJournal::key(std::string_view test, std::string_view target,
 
 RunJournal::RunJournal(const std::string& dir) : path_(pathFor(dir)) {
   std::filesystem::create_directories(dir);
-  if (!std::filesystem::exists(path_)) {
-    durableAppendLine(path_, "{\"kind\":\"meta\",\"schema\":" +
-                                 obs::json::quote(kJournalSchema) + "}");
-    return;
-  }
-  std::ifstream in(path_);
-  if (!in) throw Error("cannot read run journal '" + path_ + "'");
-  std::string line;
-  std::vector<std::string> intact;
-  while (std::getline(in, line)) {
-    if (str::trim(line).empty()) continue;
-    obs::json::Value record;
-    try {
-      record = obs::json::parse(line);
-    } catch (const ParseError&) {
-      // A killed campaign may leave a truncated final line; dropping it
-      // just reruns that one tuple.
-      ++corruptLines_;
-      continue;
-    }
-    intact.push_back(line);
-    if (!record.isObject() || record.stringOr("kind", "") != "run") continue;
-    keys_.insert(key(record.stringOr("test", ""),
-                     record.stringOr("target", ""),
-                     static_cast<int>(record.numberOr("repeat", 0))));
-  }
-  in.close();
-  if (corruptLines_ > 0) {
-    // Truncate the torn tail so the file is parseable end to end again;
-    // the next append lands after the last intact record.
-    std::string rewritten;
-    for (const std::string& keep : intact) {
-      rewritten += keep;
-      rewritten += '\n';
-    }
-    durableWriteFile(path_, rewritten);
-  }
+  corruptLines_ =
+      openJsonLog(path_, kJournalSchema, [&](const obs::json::Value& record) {
+        if (record.stringOr("kind", "") != "run") return;
+        keys_.insert(key(record.stringOr("test", ""),
+                         record.stringOr("target", ""),
+                         static_cast<int>(record.numberOr("repeat", 0))));
+      });
 }
 
 bool RunJournal::contains(std::string_view test, std::string_view target,

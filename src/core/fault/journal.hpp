@@ -1,4 +1,7 @@
-// Run journal (rebench::fault): resumable campaigns.
+// Durable file I/O and the run journal (rebench::fault).
+//
+// The run journal, the serve write-ahead journal and the object-store
+// index are append-only JSONL logs that all open through `openJsonLog`.
 //
 // A suite run appends one JSONL record per completed (test, target,
 // repeat) tuple to DIR/journal.jsonl; a killed campaign restarted with
@@ -6,10 +9,7 @@
 // not yet recorded.  Appends are *durable*: each line is written and
 // fsynced before record() returns, so a crash can lose at most the line
 // being written — never a previously acknowledged one (losing an
-// acknowledged tuple would double-execute it on resume).  The loader
-// tolerates a torn final line (the crash that motivates resuming is
-// exactly what produces one) and truncates it away so the file is clean
-// again for the next append.
+// acknowledged tuple would double-execute it on resume).
 //
 // Schema (one JSON object per line):
 //   {"kind":"meta","schema":"rebench.journal/1"}
@@ -18,11 +18,17 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 
 namespace rebench {
+
+namespace obs::json {
+struct Value;
+}  // namespace obs::json
 
 inline constexpr std::string_view kJournalSchema = "rebench.journal/1";
 
@@ -38,14 +44,28 @@ void durableAppendLine(const std::string& path, std::string_view line);
 /// write.  Throws rebench::Error on I/O failure.
 void durableWriteFile(const std::string& path, std::string_view bytes);
 
+/// The whole content of `path`, or nullopt when it cannot be opened.
+std::optional<std::string> readWholeFile(const std::string& path);
+
+/// Opens the append-only JSONL log at `path` and replays it: calls
+/// `visit` on every record that parses to a JSON object, in file order,
+/// except meta lines.  An absent file is created holding one durable
+/// `{"kind":"meta","schema":schema}` line.  Blank lines are skipped.
+/// Unparseable lines (the torn tail of a crash mid-append) are dropped
+/// and, when there are any — or the last line lacks its newline — the
+/// file is rewritten through durableWriteFile holding only the intact
+/// lines.  Returns the number of unparseable lines.  Throws
+/// rebench::Error when the file cannot be created or read, or a meta
+/// line names another schema.
+std::size_t openJsonLog(
+    const std::string& path, std::string_view schema,
+    const std::function<void(const obs::json::Value&)>& visit);
+
 class RunJournal {
  public:
-  /// Opens DIR/journal.jsonl, creating DIR and the meta line when absent,
-  /// and loads already-recorded tuples.  A corrupt tail (torn lines from
-  /// a crash mid-append) is counted in corruptLines() and truncated away:
-  /// the file is rewritten (tmp + atomic rename) holding only the intact
-  /// lines.  Throws rebench::Error when the directory or file cannot be
-  /// created/read.
+  /// Opens DIR/journal.jsonl through openJsonLog, creating DIR when
+  /// absent, and loads already-recorded tuples; torn lines are counted
+  /// in corruptLines() and truncated away.
   explicit RunJournal(const std::string& dir);
 
   static std::string pathFor(const std::string& dir);

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -97,11 +97,9 @@ TraceFile parseTraceJsonl(const std::string& text) {
 }
 
 TraceFile readTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read trace file '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parseTraceJsonl(text.str());
+  const std::optional<std::string> text = readWholeFile(path);
+  if (!text) throw Error("cannot read trace file '" + path + "'");
+  return parseTraceJsonl(*text);
 }
 
 std::vector<std::string> lintTrace(const TraceFile& trace) {

@@ -1,11 +1,11 @@
 #include "core/postproc/perflog_reader.hpp"
 
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <queue>
 #include <utility>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/trace.hpp"
 #include "core/postproc/columnar/colfile.hpp"
 #include "core/postproc/columnar/merge.hpp"
@@ -323,10 +323,9 @@ DataFrame analysisFrameFromTable(const columnar::Table& table) {
 FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
                                       const std::string& path,
                                       obs::Tracer* tracer) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read perflog file '" + path + "'");
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
+  const std::optional<std::string> read = readWholeFile(path);
+  if (!read) throw Error("cannot read perflog file '" + path + "'");
+  const std::string& bytes = *read;
   const std::string refName =
       "colframe/" + store::ObjectStore::hashBytes(bytes);
 

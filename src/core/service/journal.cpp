@@ -2,13 +2,11 @@
 
 #include <charconv>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/util/error.hpp"
-#include "core/util/strings.hpp"
 
 namespace rebench::service {
 
@@ -93,73 +91,44 @@ std::string ServiceJournal::pathFor(const std::string& queueDir) {
 ServiceJournal::ServiceJournal(const std::string& queueDir)
     : path_(pathFor(queueDir)) {
   std::filesystem::create_directories(queueDir);
-  if (!std::filesystem::exists(path_)) {
-    durableAppendLine(path_, "{\"kind\":\"meta\",\"schema\":" +
-                                 quote(kServiceJournalSchema) + "}");
-    return;
-  }
-  std::ifstream in(path_);
-  if (!in) throw Error("cannot read service journal '" + path_ + "'");
-  std::string line;
-  std::vector<std::string> intact;
-  while (std::getline(in, line)) {
-    if (str::trim(line).empty()) continue;
-    obs::json::Value record;
-    try {
-      record = obs::json::parse(line);
-    } catch (const ParseError&) {
-      // The torn tail a crash mid-append leaves behind; the checkpoint
-      // it belonged to never durably happened.
-      ++corruptLines_;
-      continue;
-    }
-    intact.push_back(line);
-    if (!record.isObject()) continue;
-    const std::string kind = record.stringOr("kind", "");
-    const std::string id = record.stringOr("submission", "");
-    if (id.empty()) continue;
-    Entry& entry = entries_[id];
-    if (kind == "claim") {
-      // A claim while one is already pending means a previous daemon
-      // died between claim and executed — a crash loop in the making.
-      if (entry.pendingClaim) ++entry.crashedClaims;
-      entry.pendingClaim = true;
-      entry.state = State::kClaimed;
-    } else if (kind == "executed") {
-      entry.pendingClaim = false;
-      entry.state = State::kExecuted;
-      entry.executed = parseExecuted(record);
-    } else if (kind == "verdict") {
-      entry.pendingClaim = false;
-      entry.state = State::kVerdict;
-      VerdictRecord verdict;
-      verdict.verdict = record.stringOr("verdict", "");
-      verdict.key = record.stringOr("key", "");
-      verdict.manifestHash = record.stringOr("manifest", "");
-      verdict.degraded =
-          record.contains("degraded") && record.at("degraded").boolean;
-      verdict.detail = record.stringOr("detail", "");
-      entry.verdict = verdict;
-    } else if (kind == "done") {
-      entry.pendingClaim = false;
-      entry.state = State::kDone;
-    }
-  }
-  in.close();
+  corruptLines_ = openJsonLog(
+      path_, kServiceJournalSchema, [&](const obs::json::Value& record) {
+        const std::string kind = record.stringOr("kind", "");
+        const std::string id = record.stringOr("submission", "");
+        if (id.empty()) return;
+        Entry& entry = entries_[id];
+        if (kind == "claim") {
+          // A claim while one is already pending means a previous daemon
+          // died between claim and executed — a crash loop in the making.
+          if (entry.pendingClaim) ++entry.crashedClaims;
+          entry.pendingClaim = true;
+          entry.state = State::kClaimed;
+        } else if (kind == "executed") {
+          entry.pendingClaim = false;
+          entry.state = State::kExecuted;
+          entry.executed = parseExecuted(record);
+        } else if (kind == "verdict") {
+          entry.pendingClaim = false;
+          entry.state = State::kVerdict;
+          VerdictRecord verdict;
+          verdict.verdict = record.stringOr("verdict", "");
+          verdict.key = record.stringOr("key", "");
+          verdict.manifestHash = record.stringOr("manifest", "");
+          verdict.degraded =
+              record.contains("degraded") && record.at("degraded").boolean;
+          verdict.detail = record.stringOr("detail", "");
+          entry.verdict = verdict;
+        } else if (kind == "done") {
+          entry.pendingClaim = false;
+          entry.state = State::kDone;
+        }
+      });
   // A claim still pending at end-of-load is the same crash signature.
   for (auto& [id, entry] : entries_) {
     if (entry.pendingClaim) {
       ++entry.crashedClaims;
       entry.pendingClaim = false;
     }
-  }
-  if (corruptLines_ > 0) {
-    std::string rewritten;
-    for (const std::string& keep : intact) {
-      rewritten += keep;
-      rewritten += '\n';
-    }
-    durableWriteFile(path_, rewritten);
   }
 }
 

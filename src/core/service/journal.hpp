@@ -81,9 +81,9 @@ class ServiceJournal {
  public:
   enum class State { kNone, kClaimed, kExecuted, kVerdict, kDone };
 
-  /// Opens (creating when absent) QUEUE/service-journal.jsonl and
-  /// replays it.  A torn final line — the crash signature — is counted
-  /// and truncated away, like the run journal.
+  /// Opens (creating when absent) QUEUE/service-journal.jsonl through
+  /// openJsonLog and replays it.  A torn final line — the crash
+  /// signature — is counted and truncated away.
   explicit ServiceJournal(const std::string& queueDir);
 
   static std::string pathFor(const std::string& queueDir);

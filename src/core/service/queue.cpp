@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/fault/journal.hpp"
@@ -19,14 +19,6 @@ namespace {
 std::string submissionBody(const store::CampaignInvocation& inv) {
   return "{\"schema\":" + obs::json::quote(kSubmissionSchema) +
          ",\"invocation\":" + store::renderInvocation(inv) + "}\n";
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 }  // namespace
@@ -64,7 +56,9 @@ std::vector<Submission> scanQueue(const std::string& queueDir) {
     const std::string stem = fs::path(path).stem().string();
     sub.id = stem.substr(4);  // drop "sub-"
     try {
-      const std::string body = readFile(path);
+      const std::optional<std::string> read = readWholeFile(path);
+      if (!read) throw Error("cannot read '" + path + "'");
+      const std::string& body = *read;
       if (store::ObjectStore::hashBytes(body) != sub.id) {
         sub.valid = false;
         sub.error = "content hash does not match filename (tampered?)";

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/util/error.hpp"
 #include "core/util/hash.hpp"
@@ -227,11 +228,9 @@ CampaignManifest CampaignManifest::parse(const std::string& text) {
 }
 
 CampaignManifest CampaignManifest::read(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read manifest '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse(text.str());
+  const std::optional<std::string> text = readWholeFile(path);
+  if (!text) throw Error("cannot read manifest '" + path + "'");
+  return parse(*text);
 }
 
 void CampaignManifest::write(const std::string& path) const {

@@ -6,12 +6,12 @@
 #include <sstream>
 #include <vector>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace.hpp"
 #include "core/util/error.hpp"
 #include "core/util/hash.hpp"
-#include "core/util/strings.hpp"
 
 namespace rebench::store {
 
@@ -35,33 +35,9 @@ ObjectStore::ObjectStore(std::string dir, StoreOptions options)
     throw Error("cannot create object store at '" + dir_ +
                 "': " + ec.message());
   }
-  if (!fs::exists(indexPath_)) {
-    std::ofstream out(indexPath_);
-    if (!out) throw Error("cannot create store index '" + indexPath_ + "'");
-    out << "{\"kind\":\"meta\",\"schema\":" << obs::json::quote(kStoreSchema)
-        << "}\n";
-    return;
-  }
-  std::ifstream in(indexPath_);
-  if (!in) throw Error("cannot read store index '" + indexPath_ + "'");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (str::trim(line).empty()) continue;
-    obs::json::Value record;
-    try {
-      record = obs::json::parse(line);
-    } catch (const ParseError&) {
-      continue;  // truncated tail from a killed process; replaying skips it
-    }
-    if (!record.isObject()) continue;
+  openJsonLog(indexPath_, kStoreSchema, [&](const obs::json::Value& record) {
     const std::string kind = record.stringOr("kind", "");
-    if (kind == "meta") {
-      const std::string schema = record.stringOr("schema", "");
-      if (schema != kStoreSchema) {
-        throw Error("store index '" + indexPath_ + "' has schema '" + schema +
-                    "' (expected '" + std::string(kStoreSchema) + "')");
-      }
-    } else if (kind == "put") {
+    if (kind == "put") {
       const std::string hash = record.stringOr("hash", "");
       Entry entry;
       entry.bytes = static_cast<std::uint64_t>(record.numberOr("bytes", 0));
@@ -84,7 +60,7 @@ ObjectStore::ObjectStore(std::string dir, StoreOptions options)
     } else if (kind == "unpin") {
       pinned_.erase(record.stringOr("hash", ""));
     }
-  }
+  });
   // Drop entries whose blob vanished behind our back (manual deletion);
   // the store never trusts the index over the filesystem.
   for (auto it = entries_.begin(); it != entries_.end();) {
@@ -205,36 +181,35 @@ std::string ObjectStore::put(std::string_view bytes) {
   return hash;
 }
 
+std::optional<std::string> ObjectStore::readVerified(const std::string& hash,
+                                                     bool& corrupt) const {
+  std::optional<std::string> bytes = readWholeFile(objectPath(hash));
+  corrupt = bytes && hashBytes(*bytes) != hash;
+  if (corrupt) bytes.reset();
+  return bytes;
+}
+
 std::optional<std::string> ObjectStore::get(const std::string& hash) {
   std::lock_guard lock(mutex_);
-  const std::string path = objectPath(hash);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::string content = bytes.str();
-  if (hashBytes(content) != hash) {
+  bool corrupt = false;
+  std::optional<std::string> bytes = readVerified(hash, corrupt);
+  if (corrupt) {
     // Truncated or tampered blob: drop it so the caller rebuilds rather
     // than trusting bytes that no longer match their address.
     ++stats_.corrupt;
     removeObject(hash);
     if (metrics_ != nullptr) metrics_->counter("store.corrupt").inc();
-    return std::nullopt;
+  } else if (bytes) {
+    touch(hash);
   }
-  touch(hash);
-  return content;
+  return bytes;
 }
 
 std::optional<std::string> ObjectStore::peek(const std::string& hash) const {
   std::lock_guard lock(mutex_);
   if (!entries_.contains(hash)) return std::nullopt;
-  std::ifstream in(objectPath(hash), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::string content = bytes.str();
-  if (hashBytes(content) != hash) return std::nullopt;
-  return content;
+  bool corrupt = false;
+  return readVerified(hash, corrupt);
 }
 
 bool ObjectStore::contains(const std::string& hash) const {
@@ -310,22 +285,8 @@ std::size_t ObjectStore::compactIndex() {
     out << "{\"kind\":\"pin\",\"hash\":" << obs::json::quote(hash) << "}\n";
     ++lines;
   }
-  // Same tmp + atomic-rename discipline as blob publication: a crash
-  // mid-compaction leaves either the old index or the new one, never a
-  // torn file.
-  const std::string tmp = indexPath_ + ".compact";
-  {
-    std::ofstream file(tmp, std::ios::binary);
-    if (!file) throw Error("cannot write compacted index '" + tmp + "'");
-    file << out.str();
-  }
-  std::error_code ec;
-  fs::rename(tmp, indexPath_, ec);
-  if (ec) {
-    fs::remove(tmp);
-    throw Error("cannot replace store index '" + indexPath_ +
-                "': " + ec.message());
-  }
+  // A crash mid-compaction leaves either the old index or the new one.
+  durableWriteFile(indexPath_, out.str());
   return lines;
 }
 

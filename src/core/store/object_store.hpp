@@ -49,7 +49,8 @@ struct StoreOptions {
 class ObjectStore {
  public:
   /// Opens (creating when absent) the store at `dir` and replays its
-  /// index.  Index entries whose object file vanished are dropped.
+  /// index through openJsonLog, truncating a torn tail.  Index entries
+  /// whose object file vanished are dropped.
   /// Throws rebench::Error when the directory or index is unusable.
   explicit ObjectStore(std::string dir, StoreOptions options = {});
 
@@ -126,6 +127,10 @@ class ObjectStore {
   };
 
   // Private helpers assume mutex_ is held by the caller.
+  /// The blob's bytes iff its file exists and re-hashes to `hash`;
+  /// `corrupt` reports a file that exists but does not.
+  std::optional<std::string> readVerified(const std::string& hash,
+                                          bool& corrupt) const;
   void appendIndex(const std::string& line);
   void touch(const std::string& hash);
   void removeObject(const std::string& hash);

@@ -172,6 +172,12 @@ struct Table3Row {
   const char* mpiVersion;
 };
 
+// Without a printer, gtest names each case by the raw bytes of the row, and
+// those are string addresses that move with ASLR on every test discovery.
+void PrintTo(const Table3Row& row, std::ostream* os) {
+  *os << '"' << row.system << '"';
+}
+
 class Table3Test : public ConcretizerFixture,
                    public ::testing::WithParamInterface<Table3Row> {};
 

@@ -1,11 +1,13 @@
 // Unit tests for the rebench::fault subsystem: fault configuration and
 // injector determinism, the failure taxonomy, retry backoff, the
-// quarantine circuit breaker, the resumable run journal, and the lenient
-// perflog reader that survives corrupted campaign logs.
+// quarantine circuit breaker, the resumable run journal, the torn-tail
+// contract every JSONL log shares, and the lenient perflog reader that
+// survives corrupted campaign logs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "core/fault/failure.hpp"
 #include "core/fault/fault.hpp"
@@ -14,6 +16,8 @@
 #include "core/fault/retry.hpp"
 #include "core/fault/watchdog.hpp"
 #include "core/framework/perflog.hpp"
+#include "core/service/journal.hpp"
+#include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
@@ -369,6 +373,109 @@ TEST(PerfLogLenient, SkipsAndCountsCorruptLines) {
   EXPECT_EQ(parsed.corruptLines, 2u);
   EXPECT_EQ(parsed.entries[0].testName, "T");
 }
+
+// The run journal, the service journal and the store index all open
+// through openJsonLog, so they share one torn-tail contract: the partial
+// line is dropped, the file is rewritten to its intact lines ending in a
+// newline, the next append replays, and a meta line naming another
+// schema is refused.
+struct JsonLogCase {
+  std::string name;
+  std::function<std::string(const std::string& dir)> path;
+  /// Opens the log in `dir` and appends record `i`.
+  std::function<void(const std::string& dir, int i)> append;
+  /// Opens the log in `dir` and reports whether record `i` replayed.
+  std::function<bool(const std::string& dir, int i)> replays;
+};
+
+void PrintTo(const JsonLogCase& log, std::ostream* out) { *out << log.name; }
+
+class JsonLogTornTail : public ::testing::TestWithParam<JsonLogCase> {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::path(::testing::TempDir()) /
+            ("jsonlog_" + GetParam().name))
+               .string();
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+};
+
+TEST_P(JsonLogTornTail, DropsTailRewritesAndReplaysNextAppend) {
+  const JsonLogCase& log = GetParam();
+  log.append(dir_, 0);
+  const std::optional<std::string> intact = readWholeFile(log.path(dir_));
+  ASSERT_TRUE(intact.has_value());
+  // A crash mid-append: a partial record with no newline.
+  std::ofstream(log.path(dir_), std::ios::app) << "{\"kind\":\"ref\",\"na";
+  EXPECT_TRUE(log.replays(dir_, 0));
+  EXPECT_EQ(readWholeFile(log.path(dir_)), intact);
+  log.append(dir_, 1);
+  EXPECT_TRUE(log.replays(dir_, 0));
+  EXPECT_TRUE(log.replays(dir_, 1));
+}
+
+TEST_P(JsonLogTornTail, CompleteLastLineWithoutNewlineKeepsNextAppend) {
+  const JsonLogCase& log = GetParam();
+  log.append(dir_, 0);
+  // A crash can also cut a record just before its newline: the line
+  // parses, but an append glued onto it would not.
+  std::ofstream(log.path(dir_), std::ios::app) << "{\"kind\":\"note\"}";
+  EXPECT_TRUE(log.replays(dir_, 0));
+  log.append(dir_, 1);
+  EXPECT_TRUE(log.replays(dir_, 0));
+  EXPECT_TRUE(log.replays(dir_, 1));
+}
+
+TEST_P(JsonLogTornTail, ForeignSchemaThrows) {
+  const JsonLogCase& log = GetParam();
+  std::filesystem::create_directories(dir_);
+  std::ofstream(log.path(dir_))
+      << "{\"kind\":\"meta\",\"schema\":\"rebench.other/1\"}\n";
+  EXPECT_THROW(log.replays(dir_, 0), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLogs, JsonLogTornTail,
+    ::testing::Values(
+        JsonLogCase{"run_journal", &RunJournal::pathFor,
+                    [](const std::string& dir, int i) {
+                      RunJournal(dir).record("T", "sys", i, "pass", "", 1);
+                    },
+                    [](const std::string& dir, int i) {
+                      return RunJournal(dir).contains("T", "sys", i);
+                    }},
+        JsonLogCase{"service_journal", &service::ServiceJournal::pathFor,
+                    [](const std::string& dir, int i) {
+                      service::ServiceJournal(dir).recordDone(
+                          "s" + std::to_string(i));
+                    },
+                    [](const std::string& dir, int i) {
+                      return service::ServiceJournal(dir).state(
+                                 "s" + std::to_string(i)) ==
+                             service::ServiceJournal::State::kDone;
+                    }},
+        JsonLogCase{"store_index",
+                    [](const std::string& dir) {
+                      return (std::filesystem::path(dir) / "index.jsonl")
+                          .string();
+                    },
+                    [](const std::string& dir, int i) {
+                      store::ObjectStore store(dir);
+                      store.setRef("r" + std::to_string(i),
+                                   store.put("blob " + std::to_string(i)));
+                    },
+                    [](const std::string& dir, int i) {
+                      return store::ObjectStore(dir).ref(
+                                 "r" + std::to_string(i)) ==
+                             store::ObjectStore::hashBytes(
+                                 "blob " + std::to_string(i));
+                    }}),
+    [](const ::testing::TestParamInfo<JsonLogCase>& testInfo) {
+      return testInfo.param.name;
+    });
 
 }  // namespace
 }  // namespace rebench

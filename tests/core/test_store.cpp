@@ -174,6 +174,30 @@ TEST_F(StoreTest, ToleratesTruncatedIndexTail) {
   EXPECT_TRUE(reopened.get(hash).has_value());
 }
 
+TEST_F(StoreTest, AppendAfterTornIndexTailSurvivesReopen) {
+  {
+    ObjectStore store(dir_);
+    store.setRef("history/head", store.put("first"));
+  }
+  {
+    std::ofstream out(fs::path(dir_) / "index.jsonl", std::ios::app);
+    out << "{\"kind\":\"ref\",\"na";  // crash mid-append, no newline
+  }
+  std::string second;
+  {
+    // Opening truncates the torn tail, so these appends start a new line
+    // instead of being glued onto the partial one.
+    ObjectStore store(dir_);
+    second = store.put("second");
+    store.setRef("history/head", second);
+    store.pin(second);
+  }
+  ObjectStore reopened(dir_);
+  EXPECT_TRUE(reopened.contains(second));
+  EXPECT_EQ(reopened.ref("history/head"), second);
+  EXPECT_TRUE(reopened.pinned(second));
+}
+
 TEST_F(StoreTest, PinnedObjectSurvivesEvictionPressure) {
   ObjectStore store(dir_, {.maxBytes = 30});
   const std::string pinned = store.put(std::string(10, 'a'));
