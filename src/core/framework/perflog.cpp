@@ -1,5 +1,9 @@
 #include "core/framework/perflog.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <filesystem>
 #include <fstream>
 
 #include "core/util/error.hpp"
@@ -34,10 +38,12 @@ int hexVal(char c) {
   throw ParseError("bad escape in perflog line");
 }
 
-std::string unescape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
+/// Decodes `raw` into `out`, copying it whole when it holds no '%'.
+void unescapeInto(std::string_view raw, std::string& out) {
+  const std::size_t first = raw.find('%');
+  out.assign(raw.substr(0, first));
+  if (first == std::string_view::npos) return;
+  for (std::size_t i = first; i < raw.size(); ++i) {
     if (raw[i] == '%') {
       if (i + 2 >= raw.size()) throw ParseError("truncated escape");
       out += static_cast<char>(hexVal(raw[i + 1]) * 16 + hexVal(raw[i + 2]));
@@ -46,7 +52,102 @@ std::string unescape(std::string_view raw) {
       out += raw[i];
     }
   }
-  return out;
+}
+
+/// `raw` decoded: `raw` itself when it holds no '%', otherwise a view of
+/// `scratch`, which receives the decoded copy.
+std::string_view unescape(std::string_view raw, std::string& scratch) {
+  if (raw.find('%') == std::string_view::npos) return raw;
+  unescapeInto(raw, scratch);
+  return scratch;
+}
+
+/// std::stod(text), bit for bit, exceptions included.  Plain decimals
+/// ("-12.5": only [-0-9.], fully consumed, well inside the normal range)
+/// are read by from_chars, which rounds exactly as strtod does; anything
+/// else (blanks, '+', exponents, hex, inf/nan, trailing junk, underflow,
+/// overflow) goes to stod itself.
+double toDouble(std::string_view text) {
+  bool plain = !text.empty();
+  bool nonzero = false;
+  for (const char c : text) {
+    if (c >= '1' && c <= '9') {
+      nonzero = true;
+    } else if (c != '0' && c != '-' && c != '.') {
+      plain = false;
+      break;
+    }
+  }
+  if (plain) {
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    const double magnitude = std::fabs(value);
+    if (ec == std::errc{} && ptr == end &&
+        ((magnitude > 1e-300 && magnitude < 1e300) ||
+         (value == 0.0 && !nonzero))) {
+      return value;
+    }
+  }
+  return std::stod(std::string(text));
+}
+
+/// The text member `key` names, or nullptr: the key's length picks at
+/// most three candidates, and a compare picks the member.
+std::string* textField(PerfLogEntry& entry, std::string_view key) {
+  switch (key.size()) {
+    case 2:
+      if (key == "ts") return &entry.timestamp;
+      break;
+    case 3:
+      if (key == "fom") return &entry.fomName;
+      break;
+    case 4:
+      if (key == "test") return &entry.testName;
+      if (key == "spec") return &entry.spec;
+      break;
+    case 6:
+      if (key == "system") return &entry.system;
+      if (key == "job_id") return &entry.jobId;
+      if (key == "result") return &entry.result;
+      break;
+    case 7:
+      if (key == "version") return &entry.frameworkVersion;
+      if (key == "environ") return &entry.environ;
+      break;
+    case 9:
+      if (key == "partition") return &entry.partition;
+      if (key == "spec_hash") return &entry.specHash;
+      if (key == "binary_id") return &entry.binaryId;
+      break;
+    default:
+      break;
+  }
+  return nullptr;
+}
+
+/// Stores the still-escaped `raw` value under the decoded `key`.  Text
+/// is decoded straight into its member; every other value is decoded
+/// before the key is judged, so a bad escape is reported as such even
+/// under an unknown key.
+void setField(PerfLogEntry& entry, std::string_view key, std::string_view raw,
+              std::string& scratch) {
+  if (std::string* text = textField(entry, key)) {
+    unescapeInto(raw, *text);
+    return;
+  }
+  const std::string_view value = unescape(raw, scratch);
+  if (key == "value") entry.value = toDouble(value);
+  else if (key == "unit") entry.unit = unitFromName(value);
+  else if (key == "ref") entry.reference = toDouble(value);
+  else if (key == "lower") entry.lowerThresh = toDouble(value);
+  else if (key == "upper") entry.upperThresh = toDouble(value);
+  else if (key.starts_with("x:")) {
+    entry.extras.insert_or_assign(std::string(key.substr(2)),
+                                  std::string(value));
+  } else {
+    throw ParseError("unknown perflog key: '" + std::string(key) + "'");
+  }
 }
 
 void put(std::string& line, std::string_view key, std::string_view value) {
@@ -85,36 +186,25 @@ std::string PerfLogEntry::serialize() const {
   return line;
 }
 
-PerfLogEntry PerfLogEntry::parse(const std::string& line) {
+PerfLogEntry PerfLogEntry::parse(std::string_view line) {
   PerfLogEntry entry;
-  for (const std::string& field : str::split(line, '|')) {
+  std::string keyScratch;
+  std::string valueScratch;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t bar = line.find('|', start);
+    const std::string_view field =
+        line.substr(start, bar == std::string_view::npos ? bar : bar - start);
     const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      throw ParseError("malformed perflog field: '" + field + "'");
+    if (eq == std::string_view::npos) {
+      throw ParseError("malformed perflog field: '" + std::string(field) +
+                       "'");
     }
-    const std::string key = unescape(field.substr(0, eq));
-    const std::string value = unescape(field.substr(eq + 1));
-    if (key == "ts") entry.timestamp = value;
-    else if (key == "version") entry.frameworkVersion = value;
-    else if (key == "system") entry.system = value;
-    else if (key == "partition") entry.partition = value;
-    else if (key == "environ") entry.environ = value;
-    else if (key == "test") entry.testName = value;
-    else if (key == "spec") entry.spec = value;
-    else if (key == "spec_hash") entry.specHash = value;
-    else if (key == "binary_id") entry.binaryId = value;
-    else if (key == "job_id") entry.jobId = value;
-    else if (key == "fom") entry.fomName = value;
-    else if (key == "value") entry.value = std::stod(value);
-    else if (key == "unit") entry.unit = unitFromName(value);
-    else if (key == "ref") entry.reference = std::stod(value);
-    else if (key == "lower") entry.lowerThresh = std::stod(value);
-    else if (key == "upper") entry.upperThresh = std::stod(value);
-    else if (key == "result") entry.result = value;
-    else if (str::startsWith(key, "x:")) entry.extras[key.substr(2)] = value;
-    else throw ParseError("unknown perflog key: '" + key + "'");
+    const std::string_view key = unescape(field.substr(0, eq), keyScratch);
+    setField(entry, key, field.substr(eq + 1), valueScratch);
+    if (bar == std::string_view::npos) return entry;
+    start = bar + 1;
   }
-  return entry;
 }
 
 PerfLog::PerfLog(std::string path) : path_(std::move(path)) {}
@@ -128,15 +218,62 @@ void PerfLog::append(const PerfLogEntry& entry) {
   }
 }
 
-std::vector<PerfLogEntry> PerfLog::readFile(const std::string& path) {
+namespace {
+
+/// Lines in the regular file `path`, counted in fixed-size blocks so the
+/// file is never held whole; 0 for a pipe or any stream that cannot be
+/// read twice.
+std::size_t countLines(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return 0;
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> block(std::size_t{1} << 16);
+  std::size_t lines = 0;
+  char last = '\n';
+  while (in.read(block.data(), static_cast<std::streamsize>(block.size())) ||
+         in.gcount() > 0) {
+    const auto end = block.begin() + in.gcount();
+    lines += static_cast<std::size_t>(std::count(block.begin(), end, '\n'));
+    last = end[-1];
+  }
+  return lines + (last != '\n' ? 1 : 0);
+}
+
+/// The one line loop of readFile and readFileLenient: reserves `entries`
+/// for every line of `path`, then streams its non-blank lines through a
+/// single reused buffer into `onLine`.  Memory holds the entries and one
+/// line, never the whole file, and `entries` never grows by doubling.
+template <typename OnLine>
+void forEachLine(const std::string& path, std::vector<PerfLogEntry>& entries,
+                 OnLine onLine) {
   std::ifstream in(path);
   if (!in) throw Error("cannot read perflog file '" + path + "'");
-  std::vector<std::string> lines;
+  entries.reserve(countLines(path));
   std::string line;
   while (std::getline(in, line)) {
-    if (!str::trim(line).empty()) lines.push_back(line);
+    if (!str::trim(line).empty()) onLine(line);
   }
-  return parseLines(lines);
+}
+
+/// Appends `line` parsed, or counts it as corrupt.
+void parseLenient(std::string_view line, PerfLog::LenientParse& out) {
+  try {
+    out.entries.push_back(PerfLogEntry::parse(line));
+  } catch (const std::exception&) {
+    // stod() throws std::invalid_argument, parse() throws ParseError;
+    // either way the line is damaged, not the file.
+    ++out.corruptLines;
+  }
+}
+
+}  // namespace
+
+std::vector<PerfLogEntry> PerfLog::readFile(const std::string& path) {
+  std::vector<PerfLogEntry> out;
+  forEachLine(path, out, [&](std::string_view line) {
+    out.push_back(PerfLogEntry::parse(line));
+  });
+  return out;
 }
 
 std::vector<PerfLogEntry> PerfLog::parseLines(
@@ -150,29 +287,17 @@ std::vector<PerfLogEntry> PerfLog::parseLines(
 }
 
 PerfLog::LenientParse PerfLog::readFileLenient(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read perflog file '" + path + "'");
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!str::trim(line).empty()) lines.push_back(line);
-  }
-  return parseLinesLenient(lines);
+  LenientParse out;
+  forEachLine(path, out.entries,
+              [&](std::string_view line) { parseLenient(line, out); });
+  return out;
 }
 
 PerfLog::LenientParse PerfLog::parseLinesLenient(
     const std::vector<std::string>& lines) {
   LenientParse out;
   out.entries.reserve(lines.size());
-  for (const std::string& line : lines) {
-    try {
-      out.entries.push_back(PerfLogEntry::parse(line));
-    } catch (const std::exception&) {
-      // stod() throws std::invalid_argument, parse() throws ParseError;
-      // either way the line is damaged, not the file.
-      ++out.corruptLines;
-    }
-  }
+  for (const std::string& line : lines) parseLenient(line, out);
   return out;
 }
 

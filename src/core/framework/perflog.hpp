@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/util/units.hpp"
@@ -38,7 +39,14 @@ struct PerfLogEntry {
   std::map<std::string, std::string> extras;
 
   std::string serialize() const;
-  static PerfLogEntry parse(const std::string& line);
+  /// Reads one serialized line in a single pass over `line`: fields are
+  /// sliced as views, each key goes straight to its member, and text is
+  /// copied once, into that member.  Numbers are read exactly as
+  /// std::stod reads them, so values, accepted inputs and exceptions are
+  /// stod's: std::invalid_argument or std::out_of_range for a bad number,
+  /// ParseError for a malformed field, a bad escape, an unknown key or an
+  /// unknown unit.
+  static PerfLogEntry parse(std::string_view line);
 };
 
 /// Collects perflog lines in memory and/or appends them to a file.
@@ -52,7 +60,8 @@ class PerfLog {
   const std::vector<std::string>& lines() const { return lines_; }
   std::size_t size() const { return lines_.size(); }
 
-  /// Reads a perflog file back into entries.
+  /// Reads a perflog file back into entries, streaming it line by line;
+  /// blank lines are skipped.
   static std::vector<PerfLogEntry> readFile(const std::string& path);
   static std::vector<PerfLogEntry> parseLines(
       const std::vector<std::string>& lines);

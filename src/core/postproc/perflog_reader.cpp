@@ -1,8 +1,10 @@
 #include "core/postproc/perflog_reader.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <queue>
+#include <string_view>
 #include <utility>
 
 #include "core/fault/journal.hpp"
@@ -340,11 +342,17 @@ FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
     }
   }
 
-  std::vector<std::string> lines;
-  for (const std::string& line : str::split(bytes, '\n')) {
-    if (!str::trim(line).empty()) lines.push_back(line);
+  // Parse line views straight out of the bytes already read and hashed.
+  std::vector<PerfLogEntry> entries;
+  const auto newlines = std::count(bytes.begin(), bytes.end(), '\n');
+  entries.reserve(static_cast<std::size_t>(newlines) + 1);
+  for (std::size_t start = 0; start < bytes.size();) {
+    const std::size_t end = std::min(bytes.find('\n', start), bytes.size());
+    const std::string_view line(bytes.data() + start, end - start);
+    if (!str::trim(line).empty()) entries.push_back(PerfLogEntry::parse(line));
+    start = end + 1;
   }
-  out.table = entriesToTable(PerfLog::parseLines(lines));
+  out.table = entriesToTable(entries);
   store.setRef(refName, columnar::writeColFrame(store, out.table));
   emitConvertSpan(tracer, out.table, "converted");
   return out;

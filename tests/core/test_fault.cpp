@@ -393,8 +393,14 @@ void PrintTo(const JsonLogCase& log, std::ostream* out) { *out << log.name; }
 class JsonLogTornTail : public ::testing::TestWithParam<JsonLogCase> {
  protected:
   void SetUp() override {
+    // Keyed by test and parameter: ctest runs the cases of one log
+    // concurrently, and a directory they shared would let one case
+    // delete another's files.
+    std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(test.begin(), test.end(), '/', '_');
     dir_ = (std::filesystem::path(::testing::TempDir()) /
-            ("jsonlog_" + GetParam().name))
+            ("jsonlog_" + test + "_" + GetParam().name))
                .string();
     std::filesystem::remove_all(dir_);
   }
