@@ -1117,32 +1117,12 @@ void printHealthFields(const obs::json::Value& health) {
   }
 }
 
-/// Summarizes the newest QUEUE/flightrec-<seq>.jsonl: event/drop counts
+/// Summarizes the newest QUEUE/flightrec-<n>.jsonl: event/drop counts
 /// from the meta line plus the last recorded event, which a post-mortem
 /// reads next to the journal's claimed state.
 void printFlightRecordSummary(const std::string& queueDir) {
   namespace fs = std::filesystem;
-  std::string newest;
-  long long newestSeq = -1;
-  for (const auto& entry : fs::directory_iterator(queueDir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("flightrec-", 0) != 0 ||
-        name.find(".jsonl") == std::string::npos) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(10, name.size() - 10 - std::string(".jsonl").size());
-    long long seq = -1;
-    try {
-      seq = std::stoll(digits);
-    } catch (...) {
-      continue;
-    }
-    if (seq > newestSeq) {
-      newestSeq = seq;
-      newest = entry.path().string();
-    }
-  }
+  const std::string newest = telemetry::newestFlightRecord(queueDir);
   if (newest.empty()) return;
   std::ifstream in(newest);
   std::string line;

@@ -40,7 +40,9 @@ std::string renderExecuted(const std::string& submission,
   }
   out << "],\"failedStage\":" << quote(record.failedStage)
       << ",\"failureClass\":" << quote(record.failureClass)
-      << ",\"failureDetail\":" << quote(record.failureDetail) << "}";
+      << ",\"failureDetail\":" << quote(record.failureDetail);
+  if (record.permanentFailure) out << ",\"permanentFailure\":true";
+  out << "}";
   return out.str();
 }
 
@@ -70,6 +72,8 @@ ExecutedRecord parseExecuted(const obs::json::Value& value) {
   record.failedStage = value.stringOr("failedStage", "");
   record.failureClass = value.stringOr("failureClass", "");
   record.failureDetail = value.stringOr("failureDetail", "");
+  record.permanentFailure = value.contains("permanentFailure") &&
+                            value.at("permanentFailure").boolean;
   return record;
 }
 

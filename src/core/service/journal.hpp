@@ -62,6 +62,10 @@ struct ExecutedRecord {
   std::string failedStage;
   std::string failureClass;
   std::string failureDetail;
+  /// Every non-passing run failed with class permanent: the failure is a
+  /// function of the run key, so serve may memoize it.  Journaled only
+  /// when true, so passing campaigns keep their executed-line bytes.
+  bool permanentFailure = false;
 };
 
 /// A `verdict` checkpoint.

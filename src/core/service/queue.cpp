@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "core/fault/journal.hpp"
@@ -19,6 +20,12 @@ namespace {
 std::string submissionBody(const store::CampaignInvocation& inv) {
   return "{\"schema\":" + obs::json::quote(kSubmissionSchema) +
          ",\"invocation\":" + store::renderInvocation(inv) + "}\n";
+}
+
+bool isSubmissionFile(const fs::directory_entry& entry) {
+  const std::string name = entry.path().filename().string();
+  return entry.is_regular_file() && name.starts_with("sub-") &&
+         name.ends_with(".json");
 }
 
 }  // namespace
@@ -41,11 +48,7 @@ std::vector<Submission> scanQueue(const std::string& queueDir) {
   std::vector<std::string> paths;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(queueDir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("sub-") && name.ends_with(".json")) {
-      paths.push_back(entry.path().string());
-    }
+    if (isSubmissionFile(entry)) paths.push_back(entry.path().string());
   }
   std::sort(paths.begin(), paths.end());
 
@@ -79,6 +82,24 @@ std::vector<Submission> scanQueue(const std::string& queueDir) {
     result.push_back(std::move(sub));
   }
   return result;
+}
+
+int countUnanswered(const std::string& queueDir) {
+  std::set<std::string> answered;
+  std::error_code ec;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(queueDir) / "verdicts", ec)) {
+    answered.insert(entry.path().filename().string());
+  }
+  int count = 0;
+  for (const auto& entry : fs::directory_iterator(queueDir, ec)) {
+    // sub-<id>.json is answered by verdicts/<id>.json.
+    if (isSubmissionFile(entry) &&
+        answered.count(entry.path().filename().string().substr(4)) == 0) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 std::string Verdict::serialize() const {

@@ -52,6 +52,12 @@ Submission enqueueSubmission(const std::string& queueDir,
 /// entries rather than being skipped.
 std::vector<Submission> scanQueue(const std::string& queueDir);
 
+/// Submissions in `queueDir` with no verdict yet, counted from file names
+/// alone: sub-<id>.json without verdicts/<id>.json, two directory
+/// listings, no file read.  A tampered or malformed submission counts
+/// until it is answered, just as scanQueue lists it.
+int countUnanswered(const std::string& queueDir);
+
 /// The daemon's answer to one submission.
 struct Verdict {
   std::string submission;  // submission id

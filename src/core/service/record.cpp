@@ -175,9 +175,16 @@ ExecutedRecord summarizeCampaignOutcome(
   outcome.manifestHash = manifestHash;
   outcome.perflogHash = perflogHash;
   outcome.runs = static_cast<int>(results.size());
+  bool allPermanent = true;
   for (const TestRunResult& result : results) {
     outcome.simSeconds += result.simulatedPipelineSeconds;
-    if (!result.passed && outcome.failedStage.empty()) {
+    if (result.passed) continue;
+    // Transient, infrastructure (watchdog) and quarantined outcomes depend
+    // on more than the run key, so one of them makes the campaign
+    // unmemoizable.
+    allPermanent = allPermanent && !result.quarantined &&
+                   result.failure.klass == FailureClass::kPermanent;
+    if (outcome.failedStage.empty()) {
       outcome.failedStage = result.failure.stage.empty()
                                 ? "unknown"
                                 : result.failure.stage;
@@ -186,6 +193,7 @@ ExecutedRecord summarizeCampaignOutcome(
       outcome.failureDetail = result.failure.detail;
     }
   }
+  outcome.permanentFailure = !outcome.failedStage.empty() && allPermanent;
   for (const history::FomAggregate& fom : foms) {
     AggregateRecord agg;
     agg.test = fom.test;

@@ -82,8 +82,8 @@ ManifestWrite writeCampaignManifest(store::ObjectStore& store,
                                     bool pinTrace);
 
 /// Reduces finished campaign results to the journal's executed record:
-/// full-precision aggregates, total simulated seconds and the first
-/// failure (if any).
+/// full-precision aggregates, total simulated seconds, the first failure
+/// (if any) and whether every failure was permanent (memoizable).
 ExecutedRecord summarizeCampaignOutcome(std::span<const TestRunResult> results,
                                         std::span<const history::FomAggregate> foms,
                                         const std::string& manifestHash,

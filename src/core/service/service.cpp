@@ -49,22 +49,12 @@ void writeHealthSnapshot(const ServeOptions& options,
                          const ServeReport& report,
                          const CircuitBreaker& breaker);
 
-/// Unanswered submissions right now (scanned live, unlike the report's
-/// exit-time queueDepth).
-int liveQueueDepth(const std::string& queueDir) {
-  int depth = 0;
-  for (const Submission& sub : scanQueue(queueDir)) {
-    if (!fs::exists(verdictPath(queueDir, sub.id))) ++depth;
-  }
-  return depth;
-}
-
 /// Mirrors the report counters into the telemetry plane and atomically
 /// refreshes QUEUE/health.json.  Runs at startup and after every filed
 /// verdict, so health.json is live, not just a drain-time artifact.
 void refreshHealth(const RunContextState& ctx) {
   ServeReport snapshot = ctx.report;
-  snapshot.queueDepth = liveQueueDepth(ctx.options.queueDir);
+  snapshot.queueDepth = countUnanswered(ctx.options.queueDir);
   writeHealthSnapshot(ctx.options, snapshot, ctx.breaker);
   telemetry::TelemetryPlane& plane = ctx.plane;
   plane.setStat("processed", snapshot.processed);
@@ -119,8 +109,10 @@ void noteVerdict(const RunContextState& ctx, const Verdict& verdict) {
   ctx.plane.noteVerdict(verdict.submission, verdict.verdict,
                         verdict.degraded, verdict.detail);
   ctx.plane.clearInflight();
-  if (verdict.verdict.rfind("failed:", 0) == 0) {
-    // Failure post-mortems get the same flight record a crash would.
+  if (verdict.verdict == "failed:infrastructure" ||
+      verdict.verdict == "failed:quarantined") {
+    // Infrastructure and crash-loop failures get the same flight record a
+    // crash would; permanent failures are explained by verdict + manifest.
     telemetry::dumpFlightRecord(ctx.options.queueDir, ctx.plane.bus());
   }
   if (ctx.options.tracer != nullptr) {
@@ -331,6 +323,9 @@ void processSubmission(const RunContextState& ctx,
         outcome.failureClass.empty() ? "permanent" : outcome.failureClass;
     verdict.verdict = "failed:" + klass;
     verdict.detail = outcome.failedStage + ": " + outcome.failureDetail;
+    // Permanent failures are a function of the run key, like ran:*
+    // outcomes: memoize them so the next pass answers from the RunCache.
+    memoize = outcome.permanentFailure;
   } else if (ctx.options.submissionTimeout > 0.0 &&
              outcome.simSeconds > ctx.options.submissionTimeout) {
     // Whole-submission watchdog: the campaign "finished" in simulated
@@ -391,7 +386,7 @@ void processSubmission(const RunContextState& ctx,
     memoize = false;
   }
 
-  if (memoize && verdict.verdict.rfind("ran:", 0) == 0) {
+  if (memoize) {
     store::RunRecord record;
     record.key = verdict.key;
     record.verdict = verdict.verdict;
@@ -533,11 +528,7 @@ ServeReport Service::run() {
     }
   }
 
-  for (const Submission& sub : scanQueue(options_.queueDir)) {
-    if (!fs::exists(verdictPath(options_.queueDir, sub.id))) {
-      ++report.queueDepth;
-    }
-  }
+  report.queueDepth = countUnanswered(options_.queueDir);
   if (options_.metrics != nullptr) {
     options_.metrics->gauge("serve.queue_depth")
         .set(static_cast<double>(report.queueDepth));

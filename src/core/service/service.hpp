@@ -3,7 +3,9 @@
 // `rebench serve --store DIR --queue DIR` drains the filesystem
 // submission queue, answering each submission with a verdict file:
 //
-//   cached           run key warm in the RunCache: nothing re-executed
+//   cached           run key warm in the RunCache: nothing re-executed;
+//                    the detail names the memoized first verdict (ran:*,
+//                    or failed:permanent when every failure was permanent)
 //   ran:clean        executed; regression gate found nothing
 //   ran:regressed    executed; gate flagged at least one touched series
 //   failed:<class>   malformed / execution failure / watchdog /

@@ -36,7 +36,8 @@ inline constexpr std::string_view kRunCacheSchema = "rebench.runcache/1";
 /// The memoized outcome of one executed campaign.
 struct RunRecord {
   std::string key;           // run-memoization key (runKeyFor)
-  std::string verdict;       // "ran:clean" | "ran:regressed"
+  std::string verdict;       // "ran:clean" | "ran:regressed" |
+                             // "failed:permanent"
   std::string manifestHash;  // campaign manifest content hash
   std::string perflogHash;   // perflog artifact hash in the store
   int runs = 0;              // executed (test, target, repeat) tuples

@@ -1,5 +1,6 @@
 #include "core/telemetry/bus.hpp"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -84,6 +85,41 @@ std::vector<TelemetryEvent> EventBus::since(std::uint64_t seq) const {
   return out;
 }
 
+namespace {
+
+struct NumberedRecord {
+  std::uint64_t number = 0;  // 0 = no record
+  std::string path;
+};
+
+/// The flightrec-<n>.jsonl with the highest n in `queueDir`.
+NumberedRecord newestNumberedRecord(const std::string& queueDir) {
+  constexpr std::string_view kPrefix = "flightrec-";
+  constexpr std::string_view kSuffix = ".jsonl";
+  NumberedRecord newest;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(queueDir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
+    const std::string_view digits = std::string_view(name).substr(
+        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+    std::uint64_t number = 0;
+    const auto [end, error] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), number);
+    if (error != std::errc() || end != digits.data() + digits.size()) {
+      continue;
+    }
+    if (number > newest.number) newest = {number, entry.path().string()};
+  }
+  return newest;
+}
+
+}  // namespace
+
+std::string newestFlightRecord(const std::string& queueDir) {
+  return newestNumberedRecord(queueDir).path;
+}
+
 std::string dumpFlightRecord(const std::string& queueDir,
                              const EventBus& bus) {
   const std::vector<TelemetryEvent> events = bus.snapshot();
@@ -98,7 +134,8 @@ std::string dumpFlightRecord(const std::string& queueDir,
   fs::create_directories(queueDir);
   const fs::path path =
       fs::path(queueDir) /
-      ("flightrec-" + std::to_string(events.back().seq) + ".jsonl");
+      ("flightrec-" +
+       std::to_string(newestNumberedRecord(queueDir).number + 1) + ".jsonl");
   const fs::path tmp = path.string() + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

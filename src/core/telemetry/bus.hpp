@@ -7,7 +7,7 @@
 // and lossy (old events fall off the back): it is a *flight recorder*,
 // not a log.  Consumers are the HTTP status endpoint (live snapshots),
 // `rebench status` (TTY view) and the crash path, which dumps the ring
-// to QUEUE/flightrec-<seq>.jsonl so a post-mortem can see the daemon's
+// to QUEUE/flightrec-<n>.jsonl so a post-mortem can see the daemon's
 // last N moves next to the journal's claimed state.
 //
 // Determinism contract: nothing here feeds byte-deterministic artifacts.
@@ -83,11 +83,17 @@ class EventBus {
   std::deque<TelemetryEvent> ring_;
 };
 
-/// Dumps the ring to QUEUE/flightrec-<lastseq>.jsonl (schema meta line,
-/// then one event per line, oldest first) via tmp + rename so readers
-/// never observe a torn record.  Returns the path written ("" when the
-/// ring is empty — no flight record is better than an empty one).
+/// Dumps the ring to QUEUE/flightrec-<n>.jsonl (schema meta line, then
+/// one event per line, oldest first) via tmp + rename so readers never
+/// observe a torn record.  `n` is one past the highest record number
+/// already in QUEUE, so a restarted daemon, whose bus sequence starts
+/// again at 1, never overwrites an earlier record.  Returns the path
+/// written ("" when the ring is empty — no flight record is better than
+/// an empty one).
 std::string dumpFlightRecord(const std::string& queueDir,
                              const EventBus& bus);
+
+/// The highest-numbered (newest) flight record in QUEUE, "" when none.
+std::string newestFlightRecord(const std::string& queueDir);
 
 }  // namespace rebench::telemetry

@@ -49,9 +49,40 @@ RegressionTest syntheticTest(const std::string& name = "SyntheticTest") {
   return test;
 }
 
+/// A cell the target cannot run (Figure 2's `*`): the launch fails for a
+/// permanent, deterministic reason.
+RegressionTest naTest() {
+  RegressionTest test = syntheticTest("NaCell");
+  test.run = [](const RunContext&) {
+    RunOutput output;
+    output.launchFailed = true;
+    output.failureReason = "variant 'x' N/A on this target";
+    return output;
+  };
+  return test;
+}
+
+/// Lines of `kind` in the service journal at `queueDir`.
+int journalLines(const std::string& queueDir, const std::string& kind) {
+  std::istringstream in(readFile(ServiceJournal::pathFor(queueDir)));
+  int count = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"kind\":\"" + kind + "\"") != std::string::npos) ++count;
+  }
+  return count;
+}
+
+int flightRecords(const std::string& queueDir) {
+  int count = 0;
+  for (const auto& entry : fs::directory_iterator(queueDir)) {
+    if (entry.path().filename().string().starts_with("flightrec-")) ++count;
+  }
+  return count;
+}
+
 /// A fixture owning scratch queue/store directories plus the registries
-/// the daemon needs; makeOptions()/makeService() wire a resolver that
-/// always returns the synthetic test.
+/// the daemon needs; serve() wires a resolver that returns `tests_` (the
+/// synthetic test unless a test replaces it).
 class ServiceFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -88,12 +119,17 @@ class ServiceFixture : public ::testing::Test {
 
   ServeReport serve(ServeOptions options) {
     Service daemon(systems_, repo_, std::move(options),
-                   [](const store::CampaignInvocation&) {
-                     return std::vector<RegressionTest>{syntheticTest()};
+                   [tests = tests_](const store::CampaignInvocation&) {
+                     return tests;
                    });
     return daemon.run();
   }
 
+  Verdict verdictOf(const Submission& sub) {
+    return Verdict::parse(readFile(verdictPath(queue_, sub.id)));
+  }
+
+  std::vector<RegressionTest> tests_{syntheticTest()};
   std::string root_;
   std::string queue_;
   std::string store_;
@@ -163,6 +199,19 @@ TEST_F(ServiceFixture, RunRecordRoundtripsAndRejectsWrongSchema) {
                rebench::Error);
 }
 
+TEST_F(ServiceFixture, RanCleanRunRecordKeepsItsGoldenBytes) {
+  store::RunRecord record;
+  record.key = "k1";
+  record.verdict = "ran:clean";
+  record.manifestHash = "m1";
+  record.perflogHash = "p1";
+  record.runs = 4;
+  EXPECT_EQ(record.serialize(),
+            "{\"schema\":\"rebench.runcache/1\",\"key\":\"k1\","
+            "\"verdict\":\"ran:clean\",\"manifest\":\"m1\","
+            "\"perflog\":\"p1\",\"runs\":4,\"regressions\":0}");
+}
+
 TEST_F(ServiceFixture, RunCacheDistinguishesMissHitAndStale) {
   store::ObjectStore objects(store_);
   store::RunCache cache(objects);
@@ -219,6 +268,31 @@ TEST_F(ServiceFixture, ServiceJournalReplaysStateAcrossReopen) {
   ServiceJournal journal(queue_);
   EXPECT_EQ(journal.state("s1"), ServiceJournal::State::kDone);
   EXPECT_EQ(journal.crashedClaims("s1"), 0);
+}
+
+TEST_F(ServiceFixture, ServiceJournalWritesPermanentFailureOnlyWhenTrue) {
+  fs::create_directories(queue_);
+  {
+    ServiceJournal journal(queue_);
+    ExecutedRecord passed;
+    passed.key = "k1";
+    journal.recordExecuted("s1", passed);
+  }
+  // Absent means false: a passing campaign's executed line is unchanged.
+  EXPECT_EQ(readFile(ServiceJournal::pathFor(queue_)).find("permanentFailure"),
+            std::string::npos);
+  {
+    ServiceJournal journal(queue_);
+    ExecutedRecord failed;
+    failed.key = "k2";
+    failed.failedStage = "run";
+    failed.failureClass = "permanent";
+    failed.permanentFailure = true;
+    journal.recordExecuted("s2", failed);
+  }
+  ServiceJournal journal(queue_);
+  EXPECT_FALSE(journal.executed("s1")->permanentFailure);
+  EXPECT_TRUE(journal.executed("s2")->permanentFailure);
 }
 
 TEST_F(ServiceFixture, ServiceJournalCountsCrashedClaims) {
@@ -353,6 +427,8 @@ TEST_F(ServiceFixture, MalformedSubmissionGetsPermanentFailureVerdict) {
   const Verdict verdict =
       Verdict::parse(readFile(verdictPath(queue_, sub.id)));
   EXPECT_EQ(verdict.verdict, "failed:permanent");
+  // Its verdict explains it: no flight record.
+  EXPECT_EQ(flightRecords(queue_), 0);
 }
 
 TEST_F(ServiceFixture, DrainSentinelStopsBeforeProcessing) {
@@ -416,6 +492,14 @@ TEST_F(ServiceFixture, SubmissionWatchdogClassifiesSlowCampaigns) {
       Verdict::parse(readFile(verdictPath(queue_, scanned[0].id)));
   EXPECT_EQ(verdict.verdict, "failed:infrastructure");
   EXPECT_NE(verdict.detail.find("watchdog"), std::string::npos);
+  EXPECT_EQ(flightRecords(queue_), 1);
+
+  // Infrastructure failures are never memoized: the next pass re-runs.
+  store::ObjectStore objects(store_);
+  EXPECT_FALSE(objects.ref(store::RunCache::refName(verdict.key)));
+  ServeOptions again = makeOptions();
+  again.submissionTimeout = 0.001;
+  EXPECT_EQ(serve(std::move(again)).executed, 1);
 }
 
 TEST_F(ServiceFixture, ServeTraceLintsClean) {
@@ -439,6 +523,107 @@ TEST_F(ServiceFixture, ServeTraceLintsClean) {
       obs::lintTrace(obs::parseTraceJsonl(bytes));
   EXPECT_TRUE(problems.empty())
       << (problems.empty() ? "" : problems.front());
+}
+
+// ------------------------------------------- permanent-failure memo
+
+TEST_F(ServiceFixture, PermanentFailureIsAnsweredFromRunCacheNextPass) {
+  tests_ = {syntheticTest(), naTest()};
+  const Submission sub = enqueueSubmission(queue_, invocation());
+  const ServeReport first = serve(makeOptions());
+  EXPECT_EQ(first.executed, 1);
+  EXPECT_EQ(first.failed, 1);
+  const Verdict failed = verdictOf(sub);
+  EXPECT_EQ(failed.verdict, "failed:permanent");
+  EXPECT_NE(failed.detail.find("N/A"), std::string::npos);
+  EXPECT_FALSE(failed.key.empty());
+  EXPECT_FALSE(failed.manifestHash.empty());
+  const int claims = journalLines(queue_, "claim");
+  const int executed = journalLines(queue_, "executed");
+
+  const ServeReport second = serve(makeOptions());
+  EXPECT_EQ(second.executed, 0);
+  EXPECT_EQ(second.cached, 1);
+  EXPECT_EQ(second.failed, 0);
+  const Verdict cached = verdictOf(sub);
+  EXPECT_EQ(cached.verdict, "cached");
+  EXPECT_EQ(cached.detail, "first ran failed:permanent");
+  EXPECT_EQ(cached.key, failed.key);
+  // The failing campaign's manifest records each run's failure stage.
+  EXPECT_EQ(cached.manifestHash, failed.manifestHash);
+  EXPECT_FALSE(cached.degraded);
+  EXPECT_EQ(journalLines(queue_, "claim"), claims);
+  EXPECT_EQ(journalLines(queue_, "executed"), executed);
+  EXPECT_EQ(flightRecords(queue_), 0);
+}
+
+TEST_F(ServiceFixture, OnlyAllPermanentFailuresAreMemoizable) {
+  auto failing = [](const std::string& stage, FailureClass klass) {
+    TestRunResult result;
+    result.failure = {stage, klass, "detail"};
+    return result;
+  };
+  TestRunResult passing;
+  passing.passed = true;
+  const TestRunResult permanent = failing("run", FailureClass::kPermanent);
+  const TestRunResult transient = failing("sanity", FailureClass::kTransient);
+  const TestRunResult watchdog =
+      failing("run", FailureClass::kInfrastructure);
+  TestRunResult quarantined = permanent;
+  quarantined.quarantined = true;
+
+  auto memoizable = [](std::vector<TestRunResult> results) {
+    return summarizeCampaignOutcome(results, {}, "m", "p").permanentFailure;
+  };
+  EXPECT_TRUE(memoizable({passing, permanent}));
+  EXPECT_TRUE(memoizable({permanent, permanent}));
+  EXPECT_FALSE(memoizable({passing}));
+  // The first failure is permanent, so the verdict is failed:permanent,
+  // but a transient one rides along: not a function of the key.
+  EXPECT_FALSE(memoizable({permanent, transient}));
+  EXPECT_FALSE(memoizable({permanent, watchdog}));
+  EXPECT_FALSE(memoizable({quarantined}));
+}
+
+TEST_F(ServiceFixture, CrashAtExecutedMemoizesTheFailureLikeAControl) {
+  tests_ = {syntheticTest(), naTest()};
+  const std::string controlQueue = root_ + "/cq";
+  const std::string controlStore = root_ + "/cs";
+  const Submission sub = enqueueSubmission(controlQueue, invocation());
+  enqueueSubmission(queue_, invocation());
+
+  ServeOptions control = makeOptions();
+  control.queueDir = controlQueue;
+  control.storeDir = controlStore;
+  serve(control);
+  ServeOptions crash = makeOptions();
+  crash.crashAfter = "executed";
+  EXPECT_TRUE(serve(crash).crashed);
+  const ServeReport resumed = serve(makeOptions());
+  EXPECT_EQ(resumed.executed, 0);
+  EXPECT_EQ(resumed.failed, 1);
+
+  EXPECT_EQ(readFile(verdictPath(queue_, sub.id)),
+            readFile(verdictPath(controlQueue, sub.id)));
+  const std::string ref = store::RunCache::refName(verdictOf(sub).key);
+  const auto controlRecord = store::ObjectStore(controlStore).ref(ref);
+  const auto resumedRecord = store::ObjectStore(store_).ref(ref);
+  ASSERT_TRUE(controlRecord);
+  EXPECT_EQ(resumedRecord, controlRecord);
+}
+
+TEST_F(ServiceFixture, HealthQueueDepthCountsUnansweredNamesOnly) {
+  enqueueSubmission(queue_, invocation());
+  EXPECT_EQ(serve(makeOptions()).clean, 1);
+  enqueueSubmission(queue_, invocation("unanswered"));
+  const Submission tampered = enqueueSubmission(queue_, invocation("bad"));
+  std::ofstream(tampered.path, std::ios::app) << "tampered\n";
+  requestDrain(queue_);
+  const ServeReport report = serve(makeOptions());
+  EXPECT_EQ(report.processed, 0);
+  EXPECT_EQ(report.queueDepth, 2);
+  const std::string health = readFile(queue_ + "/health.json");
+  EXPECT_NE(health.find("\"queue_depth\":2,"), std::string::npos);
 }
 
 // ------------------------------------------------- pipeline watchdog

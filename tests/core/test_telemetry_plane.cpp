@@ -107,7 +107,7 @@ TEST(FlightRecord, DumpWritesMetaLineThenEventsOldestFirst) {
     bus.publish("exec", "sub", "step-" + std::to_string(i));
   }
   const std::string path = dumpFlightRecord(dir, bus);
-  EXPECT_EQ(path, dir + "/flightrec-6.jsonl");
+  EXPECT_EQ(path, dir + "/flightrec-1.jsonl");
   ASSERT_TRUE(fs::exists(path));
 
   std::istringstream in(readFile(path));
@@ -130,6 +130,29 @@ TEST(FlightRecord, DumpWritesMetaLineThenEventsOldestFirst) {
   }
   EXPECT_EQ(events, 4);
   EXPECT_EQ(previousSeq, 6u);  // last line is the newest event
+  fs::remove_all(dir);
+}
+
+TEST(FlightRecord, RestartedBusNeverOverwritesAnEarlierRecord) {
+  const std::string dir =
+      (fs::temp_directory_path() / "rebench-flightrec-restart").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // A record left by an older daemon, and a stray tmp file, keep their
+  // bytes; a restarted daemon's bus repeats the same sequence numbers.
+  std::ofstream(dir + "/flightrec-7.jsonl") << "older\n";
+  std::ofstream(dir + "/flightrec-9.jsonl.tmp") << "torn\n";
+  std::vector<std::string> paths;
+  for (int daemon = 0; daemon < 2; ++daemon) {
+    EventBus bus;
+    bus.publish("journal", "sub", "executed");
+    paths.push_back(dumpFlightRecord(dir, bus));
+  }
+  EXPECT_EQ(paths[0], dir + "/flightrec-8.jsonl");
+  EXPECT_EQ(paths[1], dir + "/flightrec-9.jsonl");
+  EXPECT_EQ(readFile(dir + "/flightrec-7.jsonl"), "older\n");
+  EXPECT_NE(readFile(paths[0]).find("\"seq\":1"), std::string::npos);
+  EXPECT_EQ(newestFlightRecord(dir), paths[1]);
   fs::remove_all(dir);
 }
 
