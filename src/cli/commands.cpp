@@ -65,8 +65,6 @@ constexpr Flag kOutputs[] = {
 constexpr Flag kChrome[] = {{"chrome", kString, "F", "catapult JSON export"}};
 constexpr Flag kThreshold[] = {
     {"threshold", kNumber, "X", "relative regression threshold (0.05)"}};
-constexpr Flag kFrameCache[] = {
-    {"frame-cache", kString, "DIR", "reuse a verified columnar perflog copy"}};
 
 constexpr Flag kSettings[] = {
     {"model", kString, "M", "babelstream: programming model"},
@@ -119,26 +117,26 @@ const std::vector<Command>& commands() {
         {"strict", kSwitch, "", "also require reference values"},
         {"manifest", kString, "M", "flag results from stale artifacts"}}},
       {"report", "", 0, 0, "tabulate or plot a perflog",
-       concat({Flags{required({"perflog", kString, "F", "perflog to read"}),
-                     {"fom", kString, "NAME", "only this figure of merit"},
-                     {"stats", kSwitch, "", "Hoefler-Belli statistics"},
-                     {"plot", kSwitch, "", "bar chart"}},
-               kFrameCache})},
+       {required({"perflog", kString, "F", "perflog to read"}),
+        {"fom", kString, "NAME", "only this figure of merit"},
+        {"stats", kSwitch, "", "Hoefler-Belli statistics"},
+        {"plot", kSwitch, "", "bar chart"},
+        {"frame-cache", kString, "DIR",
+         "reuse a verified columnar perflog copy"}}},
       {"history", "[<test> [<target>]]", 0, 2,
        "longitudinal FOM history (--store or --perflog)",
-       concat({Flags{{"store", kString, "DIR", "campaign store: trends, gate"},
-                     {"json", kSwitch, "", "machine-readable output"},
-                     {"window", kCount, "N", "rolling window (5; perflog 8)"},
-                     {"check", kSwitch, "", "gate the newest record"},
-                     {"threshold", kNumber, "X", "relevant drop (0.05)"},
-                     {"perflog", kString, "F", "legacy: perflog history"},
-                     {"detect", kSwitch, "", "legacy: flag regressions"},
-                     {"sigmas", kPositive, "X", "legacy: detector width (3)"}},
-               kFrameCache})},
+       {{"store", kString, "DIR", "campaign store: trends, gate"},
+        {"json", kSwitch, "", "machine-readable output"},
+        {"window", kCount, "N", "rolling window (5; perflog 8)"},
+        {"check", kSwitch, "", "gate the newest record"},
+        {"threshold", kNumber, "X", "relevant drop (0.05)"},
+        {"perflog", kString, "F", "legacy: perflog history"},
+        {"detect", kSwitch, "", "legacy: flag regressions"},
+        {"sigmas", kPositive, "X", "legacy: detector width (3)"}}},
       {"compare", "", 0, 0, "before/after perflog gate; exit 1 on regression",
        concat({Flags{required({"before", kString, "A", "baseline perflog"}),
                      required({"after", kString, "B", "candidate perflog"})},
-               kThreshold, kFrameCache})},
+               kThreshold})},
       {"submit", "", 0, 0, "queue a run (--benchmark) or suite campaign",
        concat({Flags{required({"queue", kString, "DIR", "serve queue"})},
                kBenchmark, kSelection, kCampaign})},

@@ -91,16 +91,6 @@ int listPackages() {
   return 0;
 }
 
-/// A perflog's entries, read through the --frame-cache columnar copy when
-/// one was asked for (content-hash keyed and verified: the same entries).
-std::vector<PerfLogEntry> readPerflogEntries(const Args& args,
-                                             const std::string& path) {
-  const auto cacheDir = args.option("frame-cache");
-  if (!cacheDir) return PerfLog::readFile(path);
-  store::ObjectStore cache(*cacheDir);
-  return tableToPerflogEntries(loadOrConvertPerflog(cache, path).table);
-}
-
 int showSpec(const Args& args) {
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
@@ -171,6 +161,17 @@ RegressionTest buildTest(const store::CampaignInvocation& inv) {
   }
   throw UsageError("--benchmark must be babelstream, hpcg or hpgmg (got '" +
                    inv.benchmark + "')");
+}
+
+/// Maps an invocation to its tests: the one benchmark in run mode, the
+/// builtin-suite selection otherwise.  run, suite, replay and serve all
+/// resolve through here; the optional hooks trace the suite selection.
+std::vector<RegressionTest> resolveTests(
+    const store::CampaignInvocation& inv, obs::Tracer* tracer = nullptr,
+    obs::MetricsRegistry* metrics = nullptr) {
+  if (inv.mode == "run") return {buildTest(inv)};
+  return builtinSuite().select(inv.tag, inv.namePattern, inv.excludePattern,
+                               tracer, metrics);
 }
 
 int showEnv(const Args& args) {
@@ -404,102 +405,90 @@ struct StoreSession {
   }
 };
 
-int runBenchmark(const Args& args) {
-  const store::CampaignInvocation invocation = invocationFromArgs(args, "run");
-  const RegressionTest test = buildTest(invocation);
-  const SystemRegistry systems = builtinSystems();
-  const PackageRepository repo = builtinRepository();
-  PipelineOptions options = service::pipelineOptionsFor(invocation);
-  TraceSession trace(args);
-  trace.attach(options);
-  StoreSession storeSession(args);
-  storeSession.attach(options);
-  Pipeline pipeline(systems, repo, options);
+/// The marker `run` and `suite` print before each result.
+const char* outcomeMarker(const TestRunResult& result) {
+  return result.passed ? " OK " : result.quarantined ? "QUAR" : "FAIL";
+}
 
-  PerfLog perflog(args.option("perflog").value_or(""));
-  const std::string target = invocation.system;
-
-  std::vector<TestRunResult> results;
-  bool anyFailed = false;
-  std::optional<infer::ControllerReport> inference;
-  if (invocation.ciHalfwidth > 0.0) {
-    // Adaptive run-length control (rebench::infer): the controller
-    // decides the repeat count per FOM series; the campaign runs through
-    // the same service::executeCampaign path as suite/serve/replay.
-    const std::vector<RegressionTest> tests{test};
-    const std::vector<std::string> targets{target};
-    service::CampaignExecution execution = service::executeCampaign(
-        pipeline, tests, targets, invocation, &perflog, nullptr, nullptr);
-    results = std::move(execution.results);
-    inference = std::move(execution.inference);
-    for (const TestRunResult& result : results) {
-      std::cout << "[" << (result.passed ? " OK " : "FAIL") << "] "
-                << result.testName << " @ " << result.system << ":"
-                << result.partition << " (" << result.environ << ")\n";
-      if (!result.passed) {
-        std::cout << "  " << result.failure.stage << " ["
-                  << failureClassName(result.failure.klass)
-                  << "]: " << result.failure.detail << "\n";
-        anyFailed = true;
-      }
+/// `run` prints every repeat: its outcome, with --verbose the spec and
+/// launch line, then the failure or the FOMs and energy.
+void printRunResults(const Args& args,
+                     const service::CampaignExecution& execution,
+                     const PerfLog& perflog) {
+  for (const TestRunResult& result : execution.results) {
+    std::cout << "[" << outcomeMarker(result) << "] " << result.testName
+              << " @ " << result.system << ":" << result.partition << " ("
+              << result.environ << ")\n";
+    if (args.hasFlag("verbose") && result.concreteSpec != nullptr) {
+      std::cout << "  spec:   " << result.concreteSpec->shortForm() << "\n";
+      std::cout << "  launch: " << result.launchCommand << "\n";
     }
-    printInferenceDecisions(*inference);
-  } else {
-    for (int repeat = 0; repeat < options.numRepeats; ++repeat) {
-      const TestRunResult result =
-          pipeline.runOne(test, target, &perflog, repeat);
-      results.push_back(result);
-      std::cout << "[" << (result.passed ? " OK " : "FAIL") << "] "
-                << result.testName << " @ " << result.system << ":"
-                << result.partition << " (" << result.environ << ")\n";
-      if (args.hasFlag("verbose")) {
-        std::cout << "  spec:   " << result.concreteSpec->shortForm() << "\n";
-        std::cout << "  launch: " << result.launchCommand << "\n";
+    if (!result.passed) {
+      std::cout << "  " << result.failure.stage << " ["
+                << failureClassName(result.failure.klass)
+                << "]: " << result.failure.detail;
+      if (result.attempts > 1) {
+        std::cout << " (after " << result.attempts << " attempts)";
       }
-      if (!result.passed) {
-        std::cout << "  " << result.failure.stage << " ["
-                  << failureClassName(result.failure.klass)
-                  << "]: " << result.failure.detail;
-        if (result.attempts > 1) {
-          std::cout << " (after " << result.attempts << " attempts)";
-        }
-        std::cout << "\n";
-        anyFailed = true;
-        continue;
-      }
-      for (const auto& [fom, value] : result.foms) {
-        std::cout << "  " << str::padRight(fom, 8) << " = "
-                  << str::fixed(value, 2) << "\n";
-      }
-      if (!result.telemetry.empty()) {
-        std::cout << "  energy   = "
-                  << str::fixed(result.telemetry.energyJoules(), 0) << " J ("
-                  << str::fixed(result.telemetry.meanPowerWatts(), 0)
-                  << " W mean, " << result.contentionFlags.size()
-                  << " contended samples)\n";
-      }
+      std::cout << "\n";
+      continue;
+    }
+    for (const auto& [fom, value] : result.foms) {
+      std::cout << "  " << str::padRight(fom, 8) << " = "
+                << str::fixed(value, 2) << "\n";
+    }
+    if (!result.telemetry.empty()) {
+      std::cout << "  energy   = "
+                << str::fixed(result.telemetry.energyJoules(), 0) << " J ("
+                << str::fixed(result.telemetry.meanPowerWatts(), 0)
+                << " W mean, " << result.contentionFlags.size()
+                << " contended samples)\n";
     }
   }
+  if (execution.adaptive) printInferenceDecisions(execution.inference);
   if (perflog.size() > 0 && args.option("perflog")) {
     std::cout << perflog.size() << " perflog entries appended to "
               << *args.option("perflog") << "\n";
   }
-  const std::string traceBytes = trace.active() ? trace.serialize() : "";
-  const auto fomAggregates = history::aggregateFoms(results);
-  storeSession.writeManifest(invocation, results, perflog,
-                             trace.active() ? &traceBytes : nullptr);
-  storeSession.appendHistory(fomAggregates, results, systems);
-  storeSession.printSummary(pipeline);
-  trace.write(traceBytes);
-  trace.writeMetrics(fomAggregates);
-  return anyFailed ? 1 : 0;
 }
 
-int runSuite(const Args& args) {
-  const SystemRegistry systems = builtinSystems();
-  const PackageRepository repo = builtinRepository();
-  const store::CampaignInvocation invocation =
-      invocationFromArgs(args, "suite");
+/// `suite` prints one line per result, the campaign summary and, with
+/// --jobs above 1, the executor's accounting.
+void printSuiteResults(const service::CampaignExecution& execution,
+                       const CampaignReport& report, int jobs) {
+  for (const TestRunResult& result : execution.results) {
+    std::cout << "[" << outcomeMarker(result) << "] " << result.testName
+              << " @ " << result.system << ":" << result.partition;
+    if (!result.passed) {
+      std::cout << "  (" << result.failure.stage << " ["
+                << failureClassName(result.failure.klass)
+                << "]: " << result.failure.detail << ")";
+    }
+    std::cout << "\n";
+  }
+  std::cout << renderCampaignSummary(summarizeCampaign(execution.results),
+                                     &report);
+  if (jobs > 1) {
+    std::cout << "executor: " << report.executed << " campaign(s) on "
+              << jobs << " worker(s), " << report.uniqueBuilds
+              << " unique build(s), " << report.dedupedBuilds
+              << " deduped; simulated " << str::fixed(
+                     report.simulatedSerialSeconds, 1)
+              << "s serial -> " << str::fixed(
+                     report.simulatedMakespanSeconds, 1)
+              << "s makespan (" << report.workerLanesTouched
+              << " worker lane(s) touched)\n";
+  }
+  if (execution.adaptive) printInferenceDecisions(execution.inference);
+}
+
+/// `rebench run` and `rebench suite`: one campaign from invocation to
+/// artifacts.  Tests resolve and execute exactly as under `replay` and
+/// `serve`, so a recorded invocation means the same campaign everywhere;
+/// only the result printout differs between the two commands.
+int runCampaign(const Args& args) {
+  const std::string& mode = args.subcommand();
+  const store::CampaignInvocation invocation = invocationFromArgs(args, mode);
   PipelineOptions options = service::pipelineOptionsFor(invocation);
   // Deliberately not part of the invocation/manifest: output bytes are
   // identical for every job count, so the manifest stays jobs-invariant
@@ -507,8 +496,13 @@ int runSuite(const Args& args) {
   options.jobs = args.intOptionOr("jobs", 1);
   TraceSession trace(args);
   trace.attach(options);
+  const std::vector<RegressionTest> tests =
+      resolveTests(invocation, options.tracer, options.metrics);
+  if (tests.empty()) throw UsageError("no tests match the selection");
   StoreSession storeSession(args);
   storeSession.attach(options);
+  const SystemRegistry systems = builtinSystems();
+  const PackageRepository repo = builtinRepository();
   Pipeline pipeline(systems, repo, options);
   PerfLog perflog(args.option("perflog").value_or(""));
 
@@ -521,45 +515,18 @@ int runSuite(const Args& args) {
     }
   }
 
-  const TestSuite suite = builtinSuite();
-  const std::vector<RegressionTest> selected =
-      suite.select(invocation.tag, invocation.namePattern,
-                   invocation.excludePattern, options.tracer,
-                   options.metrics);
-  if (selected.empty()) throw UsageError("no tests match the selection");
   const std::vector<std::string> targets{invocation.system};
   CampaignReport report;
-  service::CampaignExecution execution = service::executeCampaign(
-      pipeline, selected, targets, invocation, &perflog,
+  const service::CampaignExecution execution = service::executeCampaign(
+      pipeline, tests, targets, invocation, &perflog,
       journal ? &*journal : nullptr, &report);
   const std::vector<TestRunResult>& results = execution.results;
-  for (const TestRunResult& result : results) {
-    const char* marker = result.passed       ? " OK "
-                         : result.quarantined ? "QUAR"
-                                              : "FAIL";
-    std::cout << "[" << marker << "] " << result.testName << " @ "
-              << result.system << ":" << result.partition;
-    if (!result.passed) {
-      std::cout << "  (" << result.failure.stage << " ["
-                << failureClassName(result.failure.klass)
-                << "]: " << result.failure.detail << ")";
-    }
-    std::cout << "\n";
+  if (mode == "run") {
+    printRunResults(args, execution, perflog);
+  } else {
+    printSuiteResults(execution, report, options.jobs);
   }
-  const CampaignSummary summary = summarizeCampaign(results);
-  std::cout << renderCampaignSummary(summary, &report);
-  if (options.jobs > 1) {
-    std::cout << "executor: " << report.executed << " campaign(s) on "
-              << options.jobs << " worker(s), " << report.uniqueBuilds
-              << " unique build(s), " << report.dedupedBuilds
-              << " deduped; simulated " << str::fixed(
-                     report.simulatedSerialSeconds, 1)
-              << "s serial -> " << str::fixed(
-                     report.simulatedMakespanSeconds, 1)
-              << "s makespan (" << report.workerLanesTouched
-              << " worker lane(s) touched)\n";
-  }
-  if (execution.adaptive) printInferenceDecisions(execution.inference);
+
   const std::string traceBytes = trace.active() ? trace.serialize() : "";
   const auto fomAggregates = history::aggregateFoms(results);
   storeSession.writeManifest(invocation, results, perflog,
@@ -568,7 +535,10 @@ int runSuite(const Args& args) {
   storeSession.printSummary(pipeline);
   trace.write(traceBytes);
   trace.writeMetrics(fomAggregates);
-  return summary.failed == 0 && summary.quarantined == 0 ? 0 : 1;
+  const bool allPassed = std::all_of(
+      results.begin(), results.end(),
+      [](const TestRunResult& result) { return result.passed; });
+  return allPassed ? 0 : 1;
 }
 
 /// `rebench replay <manifest>` — re-executes the recorded invocation
@@ -613,30 +583,13 @@ int replay(const Args& args) {
     options.store = &*scratchStore;
   }
 
+  const std::vector<RegressionTest> tests =
+      resolveTests(invocation, options.tracer, options.metrics);
   Pipeline pipeline(systems, repo, options);
   PerfLog perflog;
-  if (invocation.mode == "run" && invocation.ciHalfwidth <= 0.0) {
-    // Fixed-repeat run mode replays through runOne so the regenerated
-    // trace reproduces the original's span structure exactly.
-    const RegressionTest test = buildTest(invocation);
-    for (int repeat = 0; repeat < options.numRepeats; ++repeat) {
-      pipeline.runOne(test, invocation.system, &perflog, repeat);
-    }
-  } else if (invocation.mode == "run") {
-    const std::vector<RegressionTest> tests{buildTest(invocation)};
-    const std::vector<std::string> targets{invocation.system};
-    service::executeCampaign(pipeline, tests, targets, invocation, &perflog,
-                             nullptr, nullptr);
-  } else {
-    const TestSuite suite = builtinSuite();
-    const std::vector<RegressionTest> selected =
-        suite.select(invocation.tag, invocation.namePattern,
-                     invocation.excludePattern, options.tracer,
-                     options.metrics);
-    const std::vector<std::string> targets{invocation.system};
-    service::executeCampaign(pipeline, selected, targets, invocation,
-                             &perflog, nullptr, nullptr);
-  }
+  const std::vector<std::string> targets{invocation.system};
+  service::executeCampaign(pipeline, tests, targets, invocation, &perflog,
+                           nullptr, nullptr);
 
   std::map<std::string, std::string> replayed;
   replayed["perflog"] = service::perflogBytes(perflog);
@@ -775,7 +728,6 @@ int report(const Args& args) {
 
   if (args.hasFlag("stats")) {
     // H&B-style reporting: per (system, test, fom) summary over repeats.
-    const std::array<std::string, 3> keys{"system", "test", "fom"};
     std::cout << "\nstatistics per series (Hoefler-Belli reporting):\n";
     std::map<std::string, std::vector<double>> series;
     for (std::size_t i = 0; i < frame.rowCount(); ++i) {
@@ -793,7 +745,6 @@ int report(const Args& args) {
       if (!isReportable(stats)) std::cout << "  [NOT REPORTABLE]";
       std::cout << "\n";
     }
-    (void)keys;
   }
 
   if (args.hasFlag("plot")) {
@@ -805,7 +756,9 @@ int report(const Args& args) {
                        frame.strings("fom")[i]);
       values.push_back(frame.numeric("value")[i]);
     }
-    std::cout << "\n" << renderBarChart(labels, values, {.width = 40});
+    BarChartOptions chart;
+    chart.width = 40;
+    std::cout << "\n" << renderBarChart(labels, values, chart);
   }
   return 0;
 }
@@ -814,8 +767,8 @@ int compare(const Args& args) {
   const auto before = args.option("before");
   const auto after = args.option("after");
   const double threshold = args.doubleOptionOr("threshold", 0.05);
-  auto collect = [&args](const std::string& path) {
-    const std::vector<PerfLogEntry> entries = readPerflogEntries(args, path);
+  auto collect = [](const std::string& path) {
+    const std::vector<PerfLogEntry> entries = PerfLog::readFile(path);
     std::map<std::string, std::vector<double>> series;
     for (const PerfLogEntry& entry : entries) {
       // Adaptive campaigns append result=summary aggregate rows; only
@@ -948,7 +901,7 @@ int history(const Args& args) {
   }
   const auto path = args.option("perflog");
   if (!path) throw UsageError("--store DIR or --perflog F is required");
-  std::vector<PerfLogEntry> all = readPerflogEntries(args, *path);
+  std::vector<PerfLogEntry> all = PerfLog::readFile(*path);
   PerfHistory perfHistory;
   std::vector<PerfLogEntry> entries;
   for (PerfLogEntry& entry : all) {
@@ -976,16 +929,6 @@ int history(const Args& args) {
     std::cout << "REGRESSION " << event.detail << "\n";
   }
   return events.empty() ? 0 : 1;
-}
-
-/// Maps a queued invocation to its tests — injected into the service
-/// layer so core stays free of benchmark dependencies.
-std::vector<RegressionTest> resolveSubmissionTests(
-    const store::CampaignInvocation& inv) {
-  if (inv.mode == "run") return {buildTest(inv)};
-  const TestSuite suite = builtinSuite();
-  return suite.select(inv.tag, inv.namePattern, inv.excludePattern, nullptr,
-                      nullptr);
 }
 
 /// `rebench submit` — drops one campaign invocation into a serve queue
@@ -1043,8 +986,10 @@ int serveCommand(const Args& args) {
   // snapshot health, exit.
   std::signal(SIGTERM, [](int) { service::Service::requestShutdown(); });
   std::signal(SIGINT, [](int) { service::Service::requestShutdown(); });
-  service::Service daemon(systems, repo, std::move(options),
-                          resolveSubmissionTests);
+  // The resolver is injected so core stays free of benchmark code.
+  service::Service daemon(
+      systems, repo, std::move(options),
+      [](const store::CampaignInvocation& inv) { return resolveTests(inv); });
   const service::ServeReport report = daemon.run();
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
@@ -1241,8 +1186,8 @@ int dispatch(const Args& args) {
       {"list-systems", [](const Args&) { return listSystems(); }},
       {"list-packages", [](const Args&) { return listPackages(); }},
       {"spec", showSpec},          {"env", showEnv},
-      {"audit", audit},            {"run", runBenchmark},
-      {"suite", runSuite},         {"replay", replay},
+      {"audit", audit},            {"run", runCampaign},
+      {"suite", runCampaign},      {"replay", replay},
       {"report", report},          {"trace-report", traceReport},
       {"profile", profileCommand}, {"history", history},
       {"compare", compare},        {"submit", submitCommand},

@@ -259,7 +259,10 @@ std::string escape(std::string_view raw) {
 }
 
 std::string quote(std::string_view raw) {
-  return "\"" + escape(raw) + "\"";
+  std::string out = escape(raw);
+  out.insert(out.begin(), '"');
+  out += '"';
+  return out;
 }
 
 }  // namespace rebench::obs::json

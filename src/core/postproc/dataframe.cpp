@@ -235,7 +235,7 @@ DataFrame DataFrame::groupPercentiles(
   std::vector<std::string> labels;
   labels.reserve(percentiles.size());
   for (const double p : percentiles) {
-    labels.push_back("p" + service::formatExact(p));
+    labels.push_back(std::string("p").append(service::formatExact(p)));
   }
   columnar::KernelStats stats;
   columnar::Table out = columnar::groupPercentilesKernel(

@@ -64,9 +64,9 @@ TraceProfile profileTrace(const obs::TraceFile& trace) {
   profile.fromWorkerSpans = !profile.units.empty();
 
   if (!profile.fromWorkerSpans) {
-    // Run-mode trace: no executor layer, so campaigns are the test_run
-    // roots and they executed strictly in sequence on one lane.  Span
-    // durations stand in for the (unstamped) simulated seconds.
+    // Pipeline::runOne trace: no executor layer, so campaigns are the
+    // test_run roots and they executed strictly in sequence on one lane.
+    // Span durations stand in for the (unstamped) simulated seconds.
     for (const obs::SpanRecord& span : trace.spans) {
       if (span.name != "test_run" || !span.parent.empty()) continue;
       ProfiledUnit unit;

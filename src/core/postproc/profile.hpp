@@ -20,8 +20,8 @@
 namespace rebench::postproc {
 
 /// One scheduled campaign unit — an `exec.worker` span, or a `test_run`
-/// root when profiling a run-mode trace (which has no executor layer;
-/// such units chain sequentially on lane 0).
+/// root when profiling a trace without an executor layer (written through
+/// Pipeline::runOne; such units chain sequentially on lane 0).
 struct ProfiledUnit {
   std::string spanId;
   std::string label;  // "test@system:partition r<repeat>"
@@ -50,7 +50,7 @@ struct TraceProfile {
   double makespanSeconds = 0.0;     // max lane end
   double serialSeconds = 0.0;       // sum of unit simSeconds
   /// True when the schedule came from stamped exec.worker spans; false
-  /// for the run-mode test_run fallback.
+  /// for the Pipeline::runOne test_run fallback.
   bool fromWorkerSpans = false;
 };
 

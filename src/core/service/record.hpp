@@ -47,7 +47,7 @@ struct CampaignExecution {
 /// Dispatches the campaign: adaptive invocations run the rebench::infer
 /// controller (sample-until-converged, summary perflog rows,
 /// infer.controller spans), fixed-repeat ones run Pipeline::runAll.
-/// The CLI suite/replay tails and the serve daemon all execute through
+/// The CLI run/suite/replay commands and the serve daemon execute through
 /// here so their bytes agree.
 CampaignExecution executeCampaign(Pipeline& pipeline,
                                   std::span<const RegressionTest> tests,

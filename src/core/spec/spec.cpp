@@ -83,14 +83,14 @@ void parseAnchors(std::string_view token, std::size_t& i, Spec& spec) {
 
 std::string variantToString(std::string_view name, const VariantValue& value) {
   if (const bool* b = std::get_if<bool>(&value)) {
-    return (*b ? "+" : "~") + std::string(name);
+    return std::string(*b ? "+" : "~").append(name);
   }
   return std::string(name) + "=" + std::get<std::string>(value);
 }
 
 std::string CompilerSpec::toString() const {
   std::string out = "%" + name;
-  if (!versions.isAny()) out += "@" + versions.toString();
+  if (!versions.isAny()) out.append("@").append(versions.toString());
   return out;
 }
 
@@ -220,10 +220,10 @@ void Spec::constrain(const Spec& other) {
 
 std::string Spec::toString() const {
   std::string out = name_;
-  if (!versions_.isAny()) out += "@" + versions_.toString();
+  if (!versions_.isAny()) out.append("@").append(versions_.toString());
   if (compiler_) out += compiler_->toString();
   for (const auto& [key, value] : variants_) {
-    out += " " + variantToString(key, value);
+    out.append(" ").append(variantToString(key, value));
   }
   for (const Spec& dep : dependencies_) {
     out += " ^" + dep.toString();

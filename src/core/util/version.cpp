@@ -140,7 +140,9 @@ std::optional<VersionConstraint> VersionConstraint::intersect(
 
 std::string VersionConstraint::toString() const {
   if (isAny()) return "";
-  if (exact_) return (strict_ ? "=" : "") + exact_->toString();
+  if (exact_) {
+    return std::string(strict_ ? "=" : "").append(exact_->toString());
+  }
   std::string out;
   if (low_) out += low_->toString();
   out += ':';
