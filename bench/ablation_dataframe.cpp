@@ -204,7 +204,7 @@ PerfLogEntry shardEntry(const std::string& stamp, const char* system,
   entry.spec = "stream@1.0";
   entry.specHash = "0123456789abcdef";
   entry.binaryId = "fedcba9876543210";
-  entry.jobId = "1";
+  entry.jobId = '1';
   entry.fomName = "bandwidth";
   entry.value = value;
   entry.unit = Unit::kGBperSec;
@@ -303,8 +303,9 @@ int reproduceAblation() {
   constexpr std::size_t kShardRows = 25'000;
   std::vector<std::string> shardPaths;
   for (std::size_t s = 0; s < kShards; ++s) {
-    const std::string path = (dir / ("shard" + std::to_string(s) + ".log"))
-                                 .string();
+    const std::string path =
+        (dir / std::string("shard").append(std::to_string(s)).append(".log"))
+            .string();
     std::ofstream out(path);
     for (std::size_t i = 0; i < kShardRows; ++i) {
       // Interleaved stamps: shard s holds s, s+8, s+16, ...

@@ -22,9 +22,9 @@ void BM_AuditLargePerflog(benchmark::State& state) {
   std::vector<PerfLogEntry> entries;
   for (int i = 0; i < 2000; ++i) {
     PerfLogEntry entry;
-    entry.system = "sys" + std::to_string(i % 5);
+    entry.system = std::string("sys").append(std::to_string(i % 5));
     entry.partition = "p";
-    entry.testName = "t" + std::to_string(i % 7);
+    entry.testName = std::string("t").append(std::to_string(i % 7));
     entry.fomName = "Triad";
     entry.value = 100.0 + i;
     entry.unit = Unit::kMBperSec;

@@ -116,7 +116,8 @@ void reproduceAblation() {
             << renderBarChart(labels, values,
                               {.title = "Triad by system and model",
                                .width = 40,
-                               .valueSuffix = " GB/s"});
+                               .valueSuffix = " GB/s",
+                               .maxValue = {}});
 }
 
 }  // namespace

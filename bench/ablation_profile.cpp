@@ -36,12 +36,13 @@ void addWorkerSpan(obs::Tracer& tracer, int index, double simSeconds,
                    bool blocked) {
   const std::string id = tracer.beginSpan("exec.worker");
   tracer.setAttr("campaign", std::to_string(index));
-  tracer.setAttr("test", "E15Synthetic" + std::to_string(index % 16));
+  tracer.setAttr("test", std::string("E15Synthetic")
+                             .append(std::to_string(index % 16)));
   tracer.setAttr("target", "archer2:compute");
   tracer.setAttr("repeat", std::to_string(index % 2));
   if (blocked) {
     tracer.beginSpan("store.singleflight");
-    tracer.setAttr("key", "k" + std::to_string(index % 8));
+    tracer.setAttr("key", std::string("k").append(std::to_string(index % 8)));
     tracer.setAttr("role", "follower");
     tracer.clock().advance(0.5);
     tracer.endSpan();

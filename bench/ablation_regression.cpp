@@ -25,10 +25,10 @@ void BM_DetectOverLongHistory(benchmark::State& state) {
   Rng rng(1);
   for (int i = 0; i < 500; ++i) {
     PerfLogEntry entry;
-    entry.timestamp = "T" + std::to_string(i);
+    entry.timestamp = std::string("T").append(std::to_string(i));
     entry.system = "archer2";
     entry.partition = "compute";
-    entry.testName = "t";
+    entry.testName = 't';
     entry.fomName = "Triad";
     entry.value = 100.0 * rng.noiseFactor(0.01);
     entry.result = "pass";
@@ -61,7 +61,7 @@ void reproduceCiScenario() {
       for (const std::string& line : log.lines()) {
         PerfLogEntry entry = PerfLogEntry::parse(line);
         if (entry.fomName != "Triad") continue;
-        entry.timestamp = "day" + std::to_string(day);
+        entry.timestamp = std::string("day").append(std::to_string(day));
         // Day-to-day machine-room noise...
         Rng noise = Rng::fromKey("ci:" + std::string(target) + ":" +
                                  std::to_string(day));

@@ -129,11 +129,14 @@ void reproduceTable4() {
             << renderBarChart(labels, values,
                               {.title = "HPGMG-FV l0 rate per system",
                                .width = 40,
-                               .valueSuffix = " MDOF/s"});
+                               .valueSuffix = " MDOF/s",
+                               .maxValue = {}});
   std::ofstream svg("table4_hpgmg_l0.svg");
   svg << renderBarChartSvg(labels, values,
                            {.title = "HPGMG-FV l0 (MDOF/s)",
-                            .valueSuffix = " MDOF/s"});
+                            .width = 50,
+                            .valueSuffix = " MDOF/s",
+                            .maxValue = {}});
   std::cout << "(SVG written to table4_hpgmg_l0.svg)\n";
 }
 

@@ -73,8 +73,8 @@ int main() {
     s.name = system;
     const DataFrame rows = frame.filterEquals("system", system);
     for (int level = 0; level < 3; ++level) {
-      const DataFrame cell =
-          rows.filterEquals("fom", "l" + std::to_string(level));
+      const DataFrame cell = rows.filterEquals(
+          "fom", std::string("l").append(std::to_string(level)));
       if (cell.empty()) continue;
       s.x.push_back(level);
       s.y.push_back(cell.numeric("value")[0]);

@@ -36,7 +36,7 @@ int main() {
                                       ctx.allocation.cpusPerTask) +
            " MB/s\n";
     out += "Solution Validates\n";
-    return RunOutput{out, /*elapsedSeconds=*/12.0};
+    return RunOutput{out, /*elapsedSeconds=*/12.0, false, ""};
   };
 
   // 2. Run it on two systems.  Everything system-specific — SLURM account

@@ -25,14 +25,29 @@ std::regex compileRegex(const std::string& pattern) {
   return std::regex(pattern);
 }
 
+/// A fired watchdog shows as one `fault.watchdog` event and ticks the
+/// total and per-stage fire counters.
+void noteWatchdog(const WatchdogFire& fire, obs::Tracer* tracer,
+                  obs::MetricsRegistry* metrics) {
+  if (tracer != nullptr) {
+    tracer->event("fault.watchdog",
+                  {{"stage", fire.stage},
+                   {"limit_seconds", str::fixed(fire.limitSeconds, 6)},
+                   {"elapsed_seconds", str::fixed(fire.elapsedSeconds, 6)}});
+  }
+  if (metrics != nullptr) {
+    metrics->counter("fault.watchdog_fired").inc();
+    metrics->counter("fault.watchdog_fired/" + fire.stage).inc();
+  }
+}
+
 }  // namespace
 
 Pipeline::Pipeline(const SystemRegistry& systems,
                    const PackageRepository& repo, PipelineOptions options)
     : systems_(systems),
       repo_(repo),
-      options_(std::move(options)),
-      builder_(options_.rebuildEveryRun) {
+      options_(std::move(options)) {
   if (options_.store != nullptr) {
     options_.store->setObservability(options_.tracer, options_.metrics);
     if (options_.cacheBuilds) {
@@ -104,17 +119,8 @@ TestRunResult Pipeline::runCampaign(const RegressionTest& test,
     // off forever.
     const double stageLimit = options_.watchdog.limitFor(stage);
     if (stageLimit > 0.0 && backoffPerStage[stage] + wait > stageLimit) {
-      const double elapsed = backoffPerStage[stage] + wait;
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->event("fault.watchdog",
-                          {{"stage", stage},
-                           {"limit_seconds", str::fixed(stageLimit, 6)},
-                           {"elapsed_seconds", str::fixed(elapsed, 6)}});
-      }
-      if (ctx.metrics != nullptr) {
-        ctx.metrics->counter("fault.watchdog_fired").inc();
-        ctx.metrics->counter("fault.watchdog_fired/" + stage).inc();
-      }
+      noteWatchdog({stage, stageLimit, backoffPerStage[stage] + wait},
+                   ctx.tracer, ctx.metrics);
       result.failure.klass = FailureClass::kInfrastructure;
       result.failure.detail = "watchdog: retry backoff for stage '" + stage +
                               "' exceeded its " + str::fixed(stageLimit, 1) +
@@ -201,19 +207,6 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     }
   };
 
-  auto noteWatchdog = [tracer, metrics](const WatchdogFire& fire) {
-    if (tracer != nullptr) {
-      tracer->event("fault.watchdog",
-                    {{"stage", fire.stage},
-                     {"limit_seconds", str::fixed(fire.limitSeconds, 6)},
-                     {"elapsed_seconds", str::fixed(fire.elapsedSeconds, 6)}});
-    }
-    if (metrics != nullptr) {
-      metrics->counter("fault.watchdog_fired").inc();
-      metrics->counter("fault.watchdog_fired/" + fire.stage).inc();
-    }
-  };
-
   auto fail = [&result, &attemptSpan](
                   std::string stage, std::string detail,
                   std::optional<FailureClass> klass = std::nullopt) {
@@ -279,7 +272,7 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     try {
       const Spec abstract = Spec::parse(test.spackSpec);
       Concretizer concretizer(repo_, system->environment,
-                              {options_.reuse, tracer, metrics});
+                              {ReusePolicy::kPreferExternal, tracer, metrics});
       ConcretizationResult cres = concretizer.concretize(abstract);
       concrete = cres.root;
       result.concretizationTrace = std::move(cres.trace);
@@ -324,7 +317,7 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     }
     if (auto fired = checkStageDeadline(options_.watchdog, "build",
                                         result.build.buildSeconds)) {
-      noteWatchdog(*fired);
+      noteWatchdog(*fired, tracer, metrics);
       span.attr("result", "error");
       return fail("build", fired->failure().detail,
                   FailureClass::kInfrastructure);
@@ -492,7 +485,7 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
   // A hung simulated stage: queue wait + execution blew the run deadline.
   if (auto fired = checkStageDeadline(options_.watchdog, "run",
                                       job->endTime - job->submitTime)) {
-    noteWatchdog(*fired);
+    noteWatchdog(*fired, tracer, metrics);
     const std::string detail = fired->failure().detail;
     logFailure("run", detail, FailureClass::kInfrastructure);
     return fail("run", detail, FailureClass::kInfrastructure);
@@ -504,8 +497,8 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     telemetryDropped = true;
     noteInjected("telemetry_dropout");
   }
-  if (options_.captureTelemetry && !telemetryDropped &&
-      !partition->machineModel.empty() && job->startTime >= 0.0) {
+  if (!telemetryDropped && !partition->machineModel.empty() &&
+      job->startTime >= 0.0) {
     obs::ScopedSpan span(tracer, "telemetry", stageHistogram("telemetry"));
     const MachineModel& machine =
         builtinMachines().get(partition->machineModel);

@@ -45,17 +45,11 @@ class MetricsRegistry;
 }  // namespace obs
 
 struct PipelineOptions {
-  /// Principle 3; disabling reuses cached binaries (ablation only).
-  bool rebuildEveryRun = true;
-  ReusePolicy reuse = ReusePolicy::kPreferExternal;
   /// Account passed to schedulers that require one (-J'--account=...').
   std::string account = "ec999";
   /// Number of times to re-run the measurement (first-class repeats; the
   /// perflog records every repeat).
   int numRepeats = 1;
-  /// Capture system-state telemetry (energy, background load) for each
-  /// run on modelled platforms — the paper's §4 future work.
-  bool captureTelemetry = true;
   /// Retry policy for transiently-failed attempts: per-stage budgets and
   /// exponential backoff with deterministic jitter (replaces ReFrame's
   /// flat --max-retries).  Only FailureClass::kTransient failures are

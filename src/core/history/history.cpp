@@ -191,10 +191,9 @@ std::string HistoryIndex::appendSegment(
   return hash;
 }
 
-std::vector<HistoryRecord> HistoryIndex::readAll() const {
+std::vector<std::vector<HistoryRecord>> HistoryIndex::readSegments() const {
   std::vector<std::vector<HistoryRecord>> segments;  // newest first
-  auto cursor = store_.ref(kHeadRef);
-  std::string hash = cursor.value_or("");
+  std::string hash = store_.ref(kHeadRef).value_or("");
   while (!hash.empty()) {
     auto bytes = store_.get(hash);
     if (!bytes) {
@@ -205,6 +204,11 @@ std::vector<HistoryRecord> HistoryIndex::readAll() const {
     segments.push_back(parseSegment(*bytes, &prev));
     hash = prev;
   }
+  return segments;
+}
+
+std::vector<HistoryRecord> HistoryIndex::readAll() const {
+  const std::vector<std::vector<HistoryRecord>> segments = readSegments();
   std::vector<HistoryRecord> records;
   for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
     records.insert(records.end(), it->begin(), it->end());
@@ -236,21 +240,7 @@ std::vector<HistoryRecord> HistoryIndex::query(std::string_view test,
 }
 
 std::size_t HistoryIndex::segmentCount() const {
-  std::size_t count = 0;
-  auto cursor = store_.ref(kHeadRef);
-  std::string hash = cursor.value_or("");
-  while (!hash.empty()) {
-    auto bytes = store_.get(hash);
-    if (!bytes) {
-      throw Error("history chain is broken: segment '" + hash +
-                  "' is missing from the store");
-    }
-    std::string prev;
-    parseSegment(*bytes, &prev);
-    hash = prev;
-    ++count;
-  }
-  return count;
+  return readSegments().size();
 }
 
 std::map<std::string, std::vector<HistoryRecord>> groupSeries(

@@ -121,6 +121,9 @@ class HistoryIndex {
   std::size_t segmentCount() const;
 
  private:
+  /// Every segment's records, newest first: the one walk of the chain.
+  std::vector<std::vector<HistoryRecord>> readSegments() const;
+
   store::ObjectStore& store_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -1,8 +1,7 @@
 #include "core/obs/trace_reader.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <set>
+#include <charconv>
 #include <sstream>
 
 #include "core/fault/journal.hpp"
@@ -13,6 +12,147 @@
 namespace rebench::obs {
 
 namespace {
+
+enum class RecordKind { kEvent, kSpan };
+/// How a required attribute's value is checked: present is enough, one of
+/// `choices`, a non-negative integer, digits with at most one '.', or an
+/// HTTP status (integer in [100, 599]).
+enum class ValueKind { kAny, kOneOf, kCount, kDecimal, kHttpStatus };
+using enum RecordKind;
+using enum ValueKind;
+
+struct AttrRule {
+  std::string_view key;
+  ValueKind kind = kAny;
+  std::vector<std::string_view> choices = {};
+};
+
+/// One record contract: every record of `kind` whose name matches must
+/// carry each attribute in `attrs`.  A name ending in '.' is a prefix.
+struct RecordContract {
+  RecordKind kind;
+  std::string_view name;
+  std::vector<AttrRule> attrs;
+};
+
+/// The attribute contracts of every record kind that has one (DESIGN.md
+/// §8, "Record contracts").  A record matching several rows (the
+/// postproc.columnar. prefix and an exact columnar name) obeys them all.
+const std::vector<RecordContract> kRecordContracts = {
+    // Fault injection names what fired at which attempt key, and the
+    // breaker key a quarantine opened.
+    {kEvent, "fault.inject", {{"kind"}, {"key"}}},
+    {kEvent, "fault.quarantine", {{"key"}}},
+    // Store writes and evictions name the object they touched.
+    {kEvent, "store.put", {{"hash"}, {"bytes"}}},
+    {kEvent, "store.evict", {{"hash"}}},
+    // A backoff span records which retry it delayed and for how long.
+    {kSpan, "backoff", {{"attempt"}, {"seconds"}}},
+    {kSpan, "store.lookup",
+     {{"key"}, {"outcome", kOneOf, {"hit", "miss", "corrupt", "drift"}}}},
+    {kSpan, "store.runcache",
+     {{"key"}, {"outcome", kOneOf, {"hit", "miss", "corrupt", "stale"}}}},
+    {kSpan, "store.singleflight",
+     {{"key"}, {"role", kOneOf, {"leader", "follower", "cached"}}}},
+    // A worker span identifies its campaign completely; the lane is a
+    // canonical virtual-lane index of the profiling schedule.
+    {kSpan, "exec.worker",
+     {{"campaign"}, {"test"}, {"target"}, {"repeat"}, {"lane", kCount},
+      {"sim_seconds"}}},
+    {kSpan, "history.append",
+     {{"test"}, {"target"}, {"fom"}, {"records", kCount}}},
+    {kSpan, "history.query",
+     {{"test"}, {"target"}, {"fom"}, {"records", kCount}}},
+    {kSpan, "serve.submission", {{"submission"}, {"verdict"}}},
+    // A fired serve watchdog records what it guarded and both sides of
+    // the comparison that tripped it.
+    {kSpan, "serve.watchdog",
+     {{"stage"}, {"limit_seconds"}, {"elapsed_seconds"}}},
+    {kSpan, "serve.endpoint", {{"route"}, {"status", kHttpStatus}}},
+    // The rusage delta: decimal CPU milliseconds plus an integer peak.
+    {kSpan, "telemetry.probe",
+     {{"stage"}, {"rusage_user_ms", kDecimal}, {"rusage_sys_ms", kDecimal},
+      {"rusage_maxrss_kb", kCount}}},
+    // The statistical evidence behind a run-length decision (controller)
+    // or a gate verdict (changepoint).
+    {kSpan, "infer.controller",
+     {{"test"}, {"target"}, {"fom"}, {"repeats", kCount}, {"ess"},
+      {"ci_halfwidth"}}},
+    {kSpan, "infer.changepoint",
+     {{"test"}, {"target"}, {"fom"}, {"repeats", kCount}, {"ess"},
+      {"ci_halfwidth"}}},
+    // Columnar-engine spans account for the work they did.
+    {kSpan, "postproc.columnar.", {{"rows", kCount}}},
+    {kSpan, "postproc.columnar.convert", {{"chunks", kCount}}},
+    {kSpan, "postproc.columnar.merge",
+     {{"chunks", kCount}, {"inputs", kCount}}},
+    {kSpan, "postproc.columnar.kernel",
+     {{"kernel"}, {"skipped_chunks", kCount}}},
+};
+
+bool allDigits(std::string_view text) {
+  return !text.empty() &&
+         text.find_first_not_of("0123456789") == std::string_view::npos;
+}
+
+/// The value of a non-negative integer, or -1 when `text` is not one or
+/// does not fit in a long.
+long parseCount(std::string_view text) {
+  long value = -1;
+  if (allDigits(text)) {
+    std::from_chars(text.data(), text.data() + text.size(), value);
+  }
+  return value;
+}
+
+/// The complaint a value earns under `rule`, or nullptr when it conforms.
+const char* valueComplaint(const AttrRule& rule, std::string_view text) {
+  switch (rule.kind) {
+    case kAny:
+      return nullptr;
+    case kOneOf:
+      return std::ranges::count(rule.choices, text) ? nullptr : "invalid";
+    case kCount:
+      return allDigits(text) ? nullptr : "non-numeric";
+    case kDecimal:
+      return !text.empty() &&
+                     text.find_first_not_of("0123456789.") ==
+                         std::string_view::npos &&
+                     std::ranges::count(text, '.') <= 1
+                 ? nullptr
+                 : "non-numeric";
+    case kHttpStatus: {
+      const long code = parseCount(text);
+      return code >= 100 && code <= 599 ? nullptr : "invalid";
+    }
+  }
+  return nullptr;
+}
+
+/// Checks one record against every contract row its name matches;
+/// `subject` opens each message ("<name> event", "<name> span '<id>'").
+void checkContract(RecordKind kind, const std::string& name,
+                   const std::string& subject, const AttrMap& attrs,
+                   std::vector<std::string>& issues) {
+  for (const RecordContract& contract : kRecordContracts) {
+    const bool matches = contract.name.ends_with('.')
+                             ? name.starts_with(contract.name)
+                             : name == contract.name;
+    if (contract.kind != kind || !matches) continue;
+    for (const AttrRule& rule : contract.attrs) {
+      const std::string key(rule.key);
+      const auto it = attrs.find(key);
+      if (it == attrs.end()) {
+        const bool vowel = key.find_first_of("aeiou") == 0;
+        issues.push_back(subject + " without " + (vowel ? "an '" : "a '") +
+                         key + "' attribute");
+      } else if (const char* complaint = valueComplaint(rule, it->second)) {
+        issues.push_back(subject + " has " + complaint + " " + key + " '" +
+                         it->second + "'");
+      }
+    }
+  }
+}
 
 AttrMap readAttrs(const json::Value& record) {
   AttrMap attrs;
@@ -113,14 +253,12 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
     issues.push_back("meta line missing a valid clock kind");
   }
 
-  std::set<std::string> ids;
+  std::map<std::string, const SpanRecord*> byId;  // last span of each id
   for (const SpanRecord& span : trace.spans) {
-    if (!ids.insert(span.id).second) {
+    if (!byId.insert_or_assign(span.id, &span).second) {
       issues.push_back("duplicate span id '" + span.id + "'");
     }
   }
-  std::map<std::string, const SpanRecord*> byId;
-  for (const SpanRecord& span : trace.spans) byId[span.id] = &span;
 
   for (const SpanRecord& span : trace.spans) {
     if (span.end < span.start) {
@@ -147,298 +285,18 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
       issues.push_back("event '" + event.name + "' references unknown span '" +
                        event.span + "'");
     }
-  }
-
-  // Fault-injection records carry a contract of their own: every
-  // fault.inject event names what fired and at which attempt key, every
-  // fault.quarantine event names the opened breaker key, and every
-  // backoff span records which retry it delayed and for how long.
-  for (const EventRecord& event : trace.events) {
-    if (event.name == "fault.inject") {
-      if (event.attrs.find("kind") == event.attrs.end()) {
-        issues.push_back("fault.inject event without a 'kind' attribute");
-      }
-      if (event.attrs.find("key") == event.attrs.end()) {
-        issues.push_back("fault.inject event without a 'key' attribute");
-      }
-    } else if (event.name == "fault.quarantine") {
-      if (event.attrs.find("key") == event.attrs.end()) {
-        issues.push_back("fault.quarantine event without a 'key' attribute");
-      }
-    }
-  }
-  // Store records have an attribute contract too: a lookup span says
-  // what key it resolved and how it went, put/evict events name the
-  // object they touched.
-  for (const EventRecord& event : trace.events) {
-    if (event.name == "store.put") {
-      if (event.attrs.find("hash") == event.attrs.end()) {
-        issues.push_back("store.put event without a 'hash' attribute");
-      }
-      if (event.attrs.find("bytes") == event.attrs.end()) {
-        issues.push_back("store.put event without a 'bytes' attribute");
-      }
-    } else if (event.name == "store.evict") {
-      if (event.attrs.find("hash") == event.attrs.end()) {
-        issues.push_back("store.evict event without a 'hash' attribute");
-      }
-    }
+    checkContract(kEvent, event.name, event.name + " event", event.attrs,
+                  issues);
   }
   for (const SpanRecord& span : trace.spans) {
-    if (span.name != "backoff") continue;
-    if (span.attrs.find("attempt") == span.attrs.end()) {
-      issues.push_back("backoff span '" + span.id +
-                       "' without an 'attempt' attribute");
-    }
-    if (span.attrs.find("seconds") == span.attrs.end()) {
-      issues.push_back("backoff span '" + span.id +
-                       "' without a 'seconds' attribute");
-    }
-  }
-  for (const SpanRecord& span : trace.spans) {
-    if (span.name != "store.lookup") continue;
-    if (span.attrs.find("key") == span.attrs.end()) {
-      issues.push_back("store.lookup span '" + span.id +
-                       "' without a 'key' attribute");
-    }
-    const auto outcome = span.attrs.find("outcome");
-    if (outcome == span.attrs.end()) {
-      issues.push_back("store.lookup span '" + span.id +
-                       "' without an 'outcome' attribute");
-    } else if (outcome->second != "hit" && outcome->second != "miss" &&
-               outcome->second != "corrupt" && outcome->second != "drift") {
-      issues.push_back("store.lookup span '" + span.id +
-                       "' has invalid outcome '" + outcome->second + "'");
-    }
-  }
-  // Parallel-executor records: a single-flight span names the build key
-  // it coordinated and the role the campaign settled into, and a worker
-  // span identifies its campaign completely.
-  for (const SpanRecord& span : trace.spans) {
-    if (span.name == "store.singleflight") {
-      if (span.attrs.find("key") == span.attrs.end()) {
-        issues.push_back("store.singleflight span '" + span.id +
-                         "' without a 'key' attribute");
-      }
-      const auto role = span.attrs.find("role");
-      if (role == span.attrs.end()) {
-        issues.push_back("store.singleflight span '" + span.id +
-                         "' without a 'role' attribute");
-      } else if (role->second != "leader" && role->second != "follower" &&
-                 role->second != "cached") {
-        issues.push_back("store.singleflight span '" + span.id +
-                         "' has invalid role '" + role->second + "'");
-      }
-    } else if (span.name == "exec.worker") {
-      for (const char* required :
-           {"campaign", "test", "target", "repeat", "lane", "sim_seconds"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back("exec.worker span '" + span.id + "' without a '" +
-                           required + "' attribute");
-        }
-      }
-      // The lane is a canonical virtual-lane index (profiling schedule),
-      // so it must parse as a non-negative integer.
-      if (const auto lane = span.attrs.find("lane");
-          lane != span.attrs.end()) {
-        const std::string& text = lane->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric) {
-          issues.push_back("exec.worker span '" + span.id +
-                           "' has non-numeric lane '" + text + "'");
-        }
-      }
-    } else if (span.name == "history.append" ||
-               span.name == "history.query") {
-      // History spans identify the series they touched and how many
-      // records were involved; `records` must count.
-      for (const char* required : {"test", "target", "fom", "records"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back(span.name + " span '" + span.id + "' without a '" +
-                           required + "' attribute");
-        }
-      }
-      if (const auto records = span.attrs.find("records");
-          records != span.attrs.end()) {
-        const std::string& text = records->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric) {
-          issues.push_back(span.name + " span '" + span.id +
-                           "' has non-numeric records '" + text + "'");
-        }
-      }
-    } else if (span.name == "serve.submission") {
-      // The daemon's per-submission record names the submission it
-      // answered and the verdict it filed.
-      for (const char* required : {"submission", "verdict"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back("serve.submission span '" + span.id +
-                           "' without a '" + required + "' attribute");
-        }
-      }
-    } else if (span.name == "serve.watchdog") {
-      // A fired serve watchdog records what it guarded and both sides of
-      // the comparison that tripped it.
-      for (const char* required :
-           {"stage", "limit_seconds", "elapsed_seconds"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back("serve.watchdog span '" + span.id +
-                           "' without a '" + required + "' attribute");
-        }
-      }
-    } else if (span.name == "telemetry.probe") {
-      // A resource-probe span names the stage it measured and carries
-      // the rusage delta: decimal CPU milliseconds plus integer
-      // counters.
-      for (const char* required :
-           {"stage", "rusage_user_ms", "rusage_sys_ms",
-            "rusage_maxrss_kb"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back("telemetry.probe span '" + span.id +
-                           "' without a '" + required + "' attribute");
-        }
-      }
-      for (const char* decimalKey : {"rusage_user_ms", "rusage_sys_ms"}) {
-        const auto it = span.attrs.find(decimalKey);
-        if (it == span.attrs.end()) continue;
-        const std::string& text = it->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789.") == std::string::npos &&
-            std::count(text.begin(), text.end(), '.') <= 1;
-        if (!numeric) {
-          issues.push_back("telemetry.probe span '" + span.id +
-                           "' has non-numeric " + decimalKey + " '" + text +
-                           "'");
-        }
-      }
-      if (const auto rss = span.attrs.find("rusage_maxrss_kb");
-          rss != span.attrs.end()) {
-        const std::string& text = rss->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric) {
-          issues.push_back("telemetry.probe span '" + span.id +
-                           "' has non-numeric rusage_maxrss_kb '" + text +
-                           "'");
-        }
-      }
-    } else if (span.name == "serve.endpoint") {
-      // A status-endpoint request span records the route it answered and
-      // the HTTP status it returned.
-      for (const char* required : {"route", "status"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back("serve.endpoint span '" + span.id +
-                           "' without a '" + required + "' attribute");
-        }
-      }
-      if (const auto status = span.attrs.find("status");
-          status != span.attrs.end()) {
-        const std::string& text = status->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        int code = 0;
-        if (numeric) code = std::atoi(text.c_str());
-        if (!numeric || code < 100 || code > 599) {
-          issues.push_back("serve.endpoint span '" + span.id +
-                           "' has invalid status '" + text + "'");
-        }
-      }
-    } else if (span.name == "store.runcache") {
-      if (span.attrs.find("key") == span.attrs.end()) {
-        issues.push_back("store.runcache span '" + span.id +
-                         "' without a 'key' attribute");
-      }
-      const auto outcome = span.attrs.find("outcome");
-      if (outcome == span.attrs.end()) {
-        issues.push_back("store.runcache span '" + span.id +
-                         "' without an 'outcome' attribute");
-      } else if (outcome->second != "hit" && outcome->second != "miss" &&
-                 outcome->second != "corrupt" &&
-                 outcome->second != "stale") {
-        issues.push_back("store.runcache span '" + span.id +
-                         "' has invalid outcome '" + outcome->second + "'");
-      }
-    } else if (span.name == "infer.controller" ||
-               span.name == "infer.changepoint") {
-      // Inference spans carry the statistical evidence behind a
-      // run-length decision (controller) or a gate verdict
-      // (changepoint): the series identity plus the estimator outputs.
-      for (const char* required :
-           {"test", "target", "fom", "repeats", "ess", "ci_halfwidth"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back(span.name + " span '" + span.id + "' without a '" +
-                           required + "' attribute");
-        }
-      }
-      if (const auto repeats = span.attrs.find("repeats");
-          repeats != span.attrs.end()) {
-        const std::string& text = repeats->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric) {
-          issues.push_back(span.name + " span '" + span.id +
-                           "' has non-numeric repeats '" + text + "'");
-        }
-      }
-    } else if (str::startsWith(span.name, "postproc.columnar.")) {
-      // Columnar-engine spans account for the work they did: every record
-      // counts rows; convert and merge count chunks (merge also names its
-      // input count); kernel spans say which kernel ran and how many
-      // chunks the zone maps let it skip.
-      const auto requireCount = [&issues, &span](const char* key) {
-        const auto it = span.attrs.find(key);
-        if (it == span.attrs.end()) {
-          issues.push_back(span.name + " span '" + span.id + "' without a '" +
-                           key + "' attribute");
-          return;
-        }
-        const std::string& text = it->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric) {
-          issues.push_back(span.name + " span '" + span.id +
-                           "' has non-numeric " + key + " '" + text + "'");
-        }
-      };
-      requireCount("rows");
-      if (span.name == "postproc.columnar.convert" ||
-          span.name == "postproc.columnar.merge") {
-        requireCount("chunks");
-      }
-      if (span.name == "postproc.columnar.merge") {
-        requireCount("inputs");
-      }
-      if (span.name == "postproc.columnar.kernel") {
-        if (span.attrs.find("kernel") == span.attrs.end()) {
-          issues.push_back("postproc.columnar.kernel span '" + span.id +
-                           "' without a 'kernel' attribute");
-        }
-        requireCount("skipped_chunks");
-      }
-    }
+    checkContract(kSpan, span.name, span.name + " span '" + span.id + "'",
+                  span.attrs, issues);
   }
 
   // Shard-merge contract: Tracer::absorb renumbers shard roots to follow
   // the host tracer's, so in file order the leading root number of every
   // span and event is non-decreasing (and span ids stay unique — checked
   // above).  A violation means a merge scrambled or duplicated shards.
-  auto rootNumber = [](const std::string& id) -> long {
-    const std::string head = id.substr(0, id.find('.'));
-    if (head.empty() ||
-        head.find_first_not_of("0123456789") != std::string::npos) {
-      return -1;  // malformed; reported by the parent checks
-    }
-    return std::stol(head);
-  };
   long previousRoot = 0;
   std::size_t spanIdx = 0, eventIdx = 0;
   for (const TraceFile::TimelineEntry& entry : trace.timeline) {
@@ -449,7 +307,8 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
       owner = trace.events[eventIdx++].span;
       if (owner.empty()) continue;  // unowned events carry no root
     }
-    const long root = rootNumber(owner);
+    // A malformed or out-of-range id is left to the parent checks.
+    const long root = parseCount(owner.substr(0, owner.find('.')));
     if (root < 0) continue;
     if (root < previousRoot) {
       issues.push_back("non-monotone root ids after merge: record of root " +

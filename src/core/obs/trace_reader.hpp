@@ -63,7 +63,8 @@ TraceFile readTraceFile(const std::string& path);
 ///   * span ids unique, parents exist, children nest inside parents,
 ///   * span end >= start,
 ///   * record timestamps monotone non-decreasing in file order,
-///   * events reference existing spans (no orphans).
+///   * events reference existing spans (no orphans),
+///   * records obey their contracts (kRecordContracts, trace_reader.cpp).
 std::vector<std::string> lintTrace(const TraceFile& trace);
 
 }  // namespace rebench::obs

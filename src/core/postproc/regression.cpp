@@ -79,7 +79,10 @@ std::vector<RegressionEvent> PerfHistory::detect(
       event.kind = kind;
       event.expected = mean;
       event.deviation = mean != 0.0 ? (value - mean) / mean : 0.0;
-      event.detail = key.toString() + " @" + points[i].timestamp + ": " +
+      // The index disambiguates the timestamp: each campaign appended to a
+      // perflog restarts its logical stamps at T0.
+      event.detail = key.toString() + " #" + std::to_string(i) + " @" +
+                     points[i].timestamp + ": " +
                      str::fixed(value, 2) + " vs rolling " +
                      str::fixed(mean, 2) + " +/- " + str::fixed(band, 2);
       events.push_back(std::move(event));

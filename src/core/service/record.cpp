@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 
 #include "core/concretizer/concretizer.hpp"
 #include "core/fault/fault.hpp"
@@ -262,37 +263,42 @@ std::vector<history::GateResult> gateCampaign(
     store::ObjectStore& store, const ExecutedRecord& outcome,
     const history::GateOptions& options, obs::Tracer* tracer,
     obs::MetricsRegistry* metrics) {
-  history::HistoryIndex index(store);
-  const std::vector<history::HistoryRecord> all = index.readAll();
+  // Verdicts are per series, so gating only the series the campaign
+  // touched yields the same verdicts in the same order.  A series a
+  // campaign aggregated twice is reported against its first aggregate.
+  std::map<std::string, const AggregateRecord*> aggregates;
+  for (const AggregateRecord& agg : outcome.aggregates) {
+    aggregates.emplace(agg.test + "|" + agg.target + "|" + agg.fom, &agg);
+  }
+  std::vector<history::HistoryRecord> records =
+      history::HistoryIndex(store).readAll();
+  std::erase_if(records, [&aggregates](const history::HistoryRecord& r) {
+    return !aggregates.contains(r.test + "|" + r.target + "|" + r.fom);
+  });
   std::vector<history::GateResult> touched;
   for (const history::GateResult& gate :
-       history::checkRegression(all, options)) {
-    for (const AggregateRecord& agg : outcome.aggregates) {
-      if (gate.series != agg.test + "|" + agg.target + "|" + agg.fom) {
-        continue;
-      }
-      if (tracer != nullptr) {
-        tracer->beginSpan("infer.changepoint");
-        tracer->setAttr("test", agg.test);
-        tracer->setAttr("target", agg.target);
-        tracer->setAttr("fom", agg.fom);
-        tracer->setAttr("repeats", std::to_string(agg.repeats));
-        tracer->setAttr("ess", str::fixed(gate.latestEss, 3));
-        tracer->setAttr("ci_halfwidth", str::fixed(gate.latestCi, 6));
-        tracer->setAttr("baseline_ci", str::fixed(gate.baselineCi, 6));
-        tracer->setAttr("regression", gate.regression ? "true" : "false");
-        tracer->setAttr("significant", gate.significant ? "true" : "false");
-        tracer->setAttr("changepoint", gate.changepoint ? "true" : "false");
-        tracer->endSpan();
-      }
-      if (metrics != nullptr) {
-        metrics->counter("infer.gated_series").inc();
-        if (gate.regression) metrics->counter("infer.regressions").inc();
-        if (gate.changepoint) metrics->counter("infer.changepoints").inc();
-      }
-      touched.push_back(gate);
-      break;
+       history::checkRegression(records, options)) {
+    const AggregateRecord& agg = *aggregates.at(gate.series);
+    if (tracer != nullptr) {
+      tracer->beginSpan("infer.changepoint");
+      tracer->setAttr("test", agg.test);
+      tracer->setAttr("target", agg.target);
+      tracer->setAttr("fom", agg.fom);
+      tracer->setAttr("repeats", std::to_string(agg.repeats));
+      tracer->setAttr("ess", str::fixed(gate.latestEss, 3));
+      tracer->setAttr("ci_halfwidth", str::fixed(gate.latestCi, 6));
+      tracer->setAttr("baseline_ci", str::fixed(gate.baselineCi, 6));
+      tracer->setAttr("regression", gate.regression ? "true" : "false");
+      tracer->setAttr("significant", gate.significant ? "true" : "false");
+      tracer->setAttr("changepoint", gate.changepoint ? "true" : "false");
+      tracer->endSpan();
     }
+    if (metrics != nullptr) {
+      metrics->counter("infer.gated_series").inc();
+      if (gate.regression) metrics->counter("infer.regressions").inc();
+      if (gate.changepoint) metrics->counter("infer.changepoints").inc();
+    }
+    touched.push_back(gate);
   }
   return touched;
 }

@@ -84,8 +84,8 @@ TEST_P(BackendCorrectness, ProducesValidatedResults) {
 
 INSTANTIATE_TEST_SUITE_P(AllNativeBackends, BackendCorrectness,
                          ::testing::ValuesIn(nativeBackendIds()),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& paramInfo) {
+                           std::string name = paramInfo.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -200,8 +200,8 @@ INSTANTIATE_TEST_SUITE_P(
         Table3Row{"cosma8", "11.1.0", "2.7.15", "mvapich", "2.3.6"},
         Table3Row{"csd3", "11.2.0", "3.8.2", "openmpi", "4.0.4"},
         Table3Row{"isambard-macs", "9.2.0", "3.7.5", "openmpi", "4.0.3"}),
-    [](const ::testing::TestParamInfo<Table3Row>& info) {
-      std::string name = info.param.system;
+    [](const ::testing::TestParamInfo<Table3Row>& paramInfo) {
+      std::string name = paramInfo.param.system;
       for (char& c : name) {
         if (c == '-') c = '_';
       }

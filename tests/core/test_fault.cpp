@@ -99,7 +99,7 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
   const FaultInjector b(c2);
   int differing = 0;
   for (int i = 0; i < 100; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     if (a.jobFault(key).kind != b.jobFault(key).kind) ++differing;
   }
   EXPECT_GT(differing, 0);
@@ -128,7 +128,7 @@ TEST(FaultInjector, StrikeFractionStaysInsideTheRun) {
   const FaultInjector injector(config);
   for (int i = 0; i < 100; ++i) {
     const JobFaultDecision decision =
-        injector.jobFault("k" + std::to_string(i));
+        injector.jobFault(std::string("k").append(std::to_string(i)));
     ASSERT_EQ(decision.kind, JobFaultDecision::Kind::kNodeFailure);
     EXPECT_GT(decision.atFraction, 0.0);
     EXPECT_LT(decision.atFraction, 1.0);

@@ -316,7 +316,8 @@ TEST(HistoryRenderTest, TextViewShowsTrendTableAndChangepoints) {
   EXPECT_NE(text.find("changepoint @ seq 8"), std::string::npos);
   EXPECT_EQ(text, renderHistory(records, {}));  // byte-deterministic
 
-  const std::string json = renderHistory(records, {.json = true});
+  const std::string json = renderHistory(
+      records, {.json = true, .window = 5, .changepoint = {}});
   EXPECT_NE(json.find("\"schema\":\"rebench.history/1\""), std::string::npos);
   EXPECT_NE(json.find("\"changepoint\":true"), std::string::npos);
   EXPECT_NE(json.find("\"changepoints\":[{\"index\":8"), std::string::npos);

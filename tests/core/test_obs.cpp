@@ -2,6 +2,9 @@
 // and the structural lint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+
 #include "core/obs/json.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace.hpp"
@@ -629,6 +632,116 @@ TEST(TraceLint, ColumnarConvertSpansRequireRowsAndChunks) {
   EXPECT_TRUE(str::contains(all, "'chunks'"));
 }
 
+// ---- record contracts: golden parity ------------------------------------
+
+// Every record kind with an attribute contract, each attribute given a
+// conforming value.  postproc.columnar.scan stands for any other columnar
+// span: the prefix contract alone applies to it.
+struct ContractCase {
+  bool event;
+  std::string name;
+  AttrMap conforming;
+};
+
+const std::vector<ContractCase>& contractCases() {
+  static const std::vector<ContractCase> cases = {
+      {true, "fault.inject", {{"kind", "crash"}, {"key", "t|s|0"}}},
+      {true, "fault.quarantine", {{"key", "t|s"}}},
+      {true, "store.put", {{"hash", "ab12"}, {"bytes", "64"}}},
+      {true, "store.evict", {{"hash", "ab12"}}},
+      {false, "backoff", {{"attempt", "1"}, {"seconds", "0.5"}}},
+      {false, "store.lookup", {{"key", "k"}, {"outcome", "hit"}}},
+      {false, "store.singleflight", {{"key", "k"}, {"role", "leader"}}},
+      {false,
+       "exec.worker",
+       {{"campaign", "0"},
+        {"test", "T"},
+        {"target", "sys:part"},
+        {"repeat", "0"},
+        {"lane", "2"},
+        {"sim_seconds", "1.000000"}}},
+      {false,
+       "history.append",
+       {{"test", "T"}, {"target", "sys:part"}, {"fom", "Triad"},
+        {"records", "3"}}},
+      {false,
+       "history.query",
+       {{"test", "T"}, {"target", "*"}, {"fom", "*"}, {"records", "0"}}},
+      {false, "serve.submission", {{"submission", "s1"}, {"verdict", "ran"}}},
+      {false,
+       "serve.watchdog",
+       {{"stage", "run"},
+        {"limit_seconds", "5.000000"},
+        {"elapsed_seconds", "6.000000"}}},
+      {false,
+       "telemetry.probe",
+       {{"stage", "build"},
+        {"rusage_user_ms", "1.250"},
+        {"rusage_sys_ms", "0"},
+        {"rusage_maxrss_kb", "2048"}}},
+      {false, "serve.endpoint", {{"route", "/status"}, {"status", "200"}}},
+      {false, "store.runcache", {{"key", "k"}, {"outcome", "stale"}}},
+      {false,
+       "infer.controller",
+       {{"test", "T"}, {"target", "sys:part"}, {"fom", "Triad"},
+        {"repeats", "5"}, {"ess", "4.200"}, {"ci_halfwidth", "0.010000"}}},
+      {false,
+       "infer.changepoint",
+       {{"test", "T"}, {"target", "sys:part"}, {"fom", "Triad"},
+        {"repeats", "5"}, {"ess", "4.200"}, {"ci_halfwidth", "0.010000"}}},
+      {false, "postproc.columnar.convert", {{"rows", "64"}, {"chunks", "1"}}},
+      {false,
+       "postproc.columnar.merge",
+       {{"rows", "128"}, {"chunks", "2"}, {"inputs", "4"}}},
+      {false,
+       "postproc.columnar.kernel",
+       {{"rows", "1000"}, {"kernel", "group_by"}, {"skipped_chunks", "0"}}},
+      {false, "postproc.columnar.scan", {{"rows", "10"}}},
+  };
+  return cases;
+}
+
+// Each contract conforming, with each attribute missing, and with each
+// attribute set to each malformed value; sorted issues are compared to a
+// golden list, so every message form and every value rule is pinned.
+TEST(TraceLint, RecordContractsMatchGoldenIssues) {
+  Tracer tracer;
+  const auto emit = [&tracer](const ContractCase& c, const AttrMap& attrs) {
+    if (c.event) {
+      tracer.event(c.name, attrs);
+      return;
+    }
+    tracer.beginSpan(c.name);
+    for (const auto& [key, value] : attrs) tracer.setAttr(key, value);
+    tracer.endSpan();
+  };
+  for (const ContractCase& c : contractCases()) {
+    emit(c, c.conforming);
+    for (const auto& [key, value] : c.conforming) {
+      AttrMap missing = c.conforming;
+      missing.erase(key);
+      emit(c, missing);
+      for (const char* bad : {"", "x", "1.2.3", "-1", "99", "600", "bogus"}) {
+        AttrMap malformed = c.conforming;
+        malformed[key] = bad;
+        emit(c, malformed);
+      }
+    }
+  }
+  std::vector<std::string> issues =
+      lintTrace(parseTraceJsonl(tracer.toJsonl()));
+  std::sort(issues.begin(), issues.end());
+
+  std::ifstream golden(std::string(REBENCH_TEST_GOLDEN_DIR) +
+                       "/trace_lint_contracts.txt");
+  ASSERT_TRUE(golden.good());
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(golden, line);) {
+    expected.push_back(line);
+  }
+  EXPECT_EQ(str::join(issues, "\n"), str::join(expected, "\n"));
+}
+
 TEST(TraceLint, FlagsNonMonotoneRootIdsAfterMerge) {
   // Hand-build a trace whose roots appear out of order — what a broken
   // absorb (or a hand-edited file) would produce.
@@ -650,13 +763,22 @@ TEST(TraceLint, FlagsNonMonotoneRootIdsAfterMerge) {
   EXPECT_TRUE(str::contains(all, "non-monotone root ids"));
 }
 
+TEST(TraceLint, OutOfRangeRootIdIsNotFatal) {
+  // A root id too large for a long must not abort the lint.
+  const std::string text =
+      "{\"schema\":\"rebench.trace/1\",\"kind\":\"meta\",\"clock\":\"sim\"}\n"
+      "{\"kind\":\"span\",\"id\":\"99999999999999999999\",\"name\":\"x\","
+      "\"start\":0,\"end\":1}\n";
+  EXPECT_TRUE(lintTrace(parseTraceJsonl(text)).empty());
+}
+
 TEST(TraceLint, AbsorbedShardsKeepRootIdsUniqueAndMonotone) {
   Tracer host;
   std::vector<Tracer> shards(3);
   for (std::size_t i = 0; i < shards.size(); ++i) {
     shards[i].beginSpan("exec.worker");
     shards[i].setAttr("campaign", std::to_string(i));
-    shards[i].setAttr("test", "T" + std::to_string(i));
+    shards[i].setAttr("test", std::string("T").append(std::to_string(i)));
     shards[i].setAttr("target", "sys:part");
     shards[i].setAttr("repeat", "0");
     shards[i].clock().advance(1.0);

@@ -36,7 +36,7 @@ RegressionTest syntheticTest() {
   test.sanityPattern = "RESULT OK";
   test.perfPatterns = {{"rate", R"(rate\s+([0-9.]+))", Unit::kGBperSec}};
   test.run = [](const RunContext&) {
-    return RunOutput{"RESULT OK\nrate 123.5 GB/s\n", 2.0};
+    return RunOutput{"RESULT OK\nrate 123.5 GB/s\n", 2.0, false, ""};
   };
   return test;
 }
@@ -70,7 +70,7 @@ TEST_F(PipelineFixture, SyntheticTestPassesEndToEnd) {
 TEST_F(PipelineFixture, SanityFailureStopsPipeline) {
   RegressionTest test = syntheticTest();
   test.run = [](const RunContext&) {
-    return RunOutput{"RESULT BAD\nrate 1.0\n", 1.0};
+    return RunOutput{"RESULT BAD\nrate 1.0\n", 1.0, false, ""};
   };
   const TestRunResult result = pipeline_.runOne(test, "archer2");
   EXPECT_FALSE(result.passed);
@@ -80,7 +80,7 @@ TEST_F(PipelineFixture, SanityFailureStopsPipeline) {
 TEST_F(PipelineFixture, MissingFomIsPerformanceFailure) {
   RegressionTest test = syntheticTest();
   test.run = [](const RunContext&) {
-    return RunOutput{"RESULT OK\nno numbers here\n", 1.0};
+    return RunOutput{"RESULT OK\nno numbers here\n", 1.0, false, ""};
   };
   const TestRunResult result = pipeline_.runOne(test, "archer2");
   EXPECT_FALSE(result.passed);

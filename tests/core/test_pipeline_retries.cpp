@@ -24,9 +24,9 @@ RegressionTest flakyTest(std::shared_ptr<std::atomic<int>> calls,
     const int attempt = calls->fetch_add(1);
     if (attempt < failuresBeforeSuccess) {
       // A transient node fault: garbage output, failing sanity.
-      return RunOutput{"NODE FAILURE xid 62\n", 1.0};
+      return RunOutput{"NODE FAILURE xid 62\n", 1.0, false, ""};
     }
-    return RunOutput{"OK\nrate 42.0\n", 1.0};
+    return RunOutput{"OK\nrate 42.0\n", 1.0, false, ""};
   };
   return test;
 }

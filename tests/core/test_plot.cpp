@@ -20,7 +20,10 @@ PivotTable samplePivot() {
 TEST(BarChart, ContainsLabelsAndValues) {
   const std::string out = renderBarChart(
       {"archer2", "csd3"}, {95.36, 126.10},
-      {.title = "HPGMG l0", .width = 40, .valueSuffix = " MDOF/s"});
+      {.title = "HPGMG l0",
+       .width = 40,
+       .valueSuffix = " MDOF/s",
+       .maxValue = {}});
   EXPECT_TRUE(str::contains(out, "HPGMG l0"));
   EXPECT_TRUE(str::contains(out, "archer2"));
   EXPECT_TRUE(str::contains(out, "95.36 MDOF/s"));
@@ -29,7 +32,9 @@ TEST(BarChart, ContainsLabelsAndValues) {
 
 TEST(BarChart, LargestValueGetsLongestBar) {
   const std::string out =
-      renderBarChart({"small", "large"}, {1.0, 10.0}, {.width = 20});
+      renderBarChart({"small", "large"}, {1.0, 10.0},
+                     {.title = "", .width = 20, .valueSuffix = "",
+                      .maxValue = {}});
   const auto lines = str::split(out, '\n');
   const auto hashes = [](const std::string& s) {
     return std::count(s.begin(), s.end(), '#');
@@ -53,7 +58,8 @@ TEST(Heatmap, MissingCellsShowMarker) {
 
 TEST(Heatmap, NonPercentMode) {
   const std::string out =
-      renderHeatmap(samplePivot(), {.asPercent = false});
+      renderHeatmap(samplePivot(),
+                    {.title = "", .asPercent = false, .missingMarker = "*"});
   EXPECT_TRUE(str::contains(out, "0.75"));
   EXPECT_FALSE(str::contains(out, "%"));
 }
@@ -76,7 +82,8 @@ TEST(HeatmapSvg, WellFormedAndComplete) {
 
 TEST(BarChartSvg, WellFormed) {
   const std::string svg = renderBarChartSvg(
-      {"a", "b"}, {1.0, 2.0}, {.title = "t", .valueSuffix = " GB/s"});
+      {"a", "b"}, {1.0, 2.0},
+      {.title = "t", .width = 50, .valueSuffix = " GB/s", .maxValue = {}});
   EXPECT_TRUE(str::startsWith(svg, "<svg"));
   EXPECT_TRUE(str::contains(svg, "</svg>"));
   EXPECT_TRUE(str::contains(svg, " GB/s"));

@@ -404,8 +404,8 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, ConcretizerProperty,
                          ::testing::Values("archer2", "cosma8", "csd3",
                                            "isambard", "isambard-macs",
                                            "noctua2", "local"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& paramInfo) {
+                           std::string name = paramInfo.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -25,6 +25,8 @@ PerfLogEntry makeEntry(const std::string& timestamp, double value,
   return entry;
 }
 
+std::string stamp(int i) { return std::string("T").append(std::to_string(i)); }
+
 SeriesKey defaultKey() {
   return {"archer2", "compute", "BabelstreamTest_omp", "Triad"};
 }
@@ -52,7 +54,7 @@ TEST(Detector, QuietHistoryRaisesNothing) {
   PerfHistory history;
   Rng rng(5);
   for (int i = 0; i < 30; ++i) {
-    history.add(makeEntry("T" + std::to_string(i),
+    history.add(makeEntry(stamp(i),
                           100.0 * rng.noiseFactor(0.01)));
   }
   EXPECT_TRUE(history.detect().empty());
@@ -64,7 +66,7 @@ TEST(Detector, InjectedSlowdownIsFlagged) {
   for (int i = 0; i < 20; ++i) {
     // 10% regression from run 12 onwards (a quietly-degraded system).
     const double base = i < 12 ? 100.0 : 90.0;
-    history.add(makeEntry("T" + std::to_string(i),
+    history.add(makeEntry(stamp(i),
                           base * rng.noiseFactor(0.01)));
   }
   const auto events = history.detect();
@@ -75,6 +77,21 @@ TEST(Detector, InjectedSlowdownIsFlagged) {
   EXPECT_TRUE(str::contains(events.front().detail, "archer2"));
 }
 
+TEST(Detector, DetailNamesThePointIndexWhenTimestampsRepeat) {
+  // Two campaigns appended to one perflog: each restarts its logical
+  // stamps at T0, so only the index within the series says which point.
+  PerfHistory history;
+  for (int i = 0; i < 10; ++i) {
+    history.add(makeEntry(stamp(i), 100.0));
+  }
+  history.add(makeEntry("T0", 50.0));
+  history.add(makeEntry("T1", 50.0));
+  const auto events = history.detect();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().pointIndex, 10u);
+  EXPECT_TRUE(str::contains(events.front().detail, "/Triad #10 @T0: "));
+}
+
 TEST(Detector, SuspiciousImprovementAlsoFlagged) {
   // Bailey's tricks cut both ways: a sudden "improvement" often means the
   // benchmark silently changed (wrong size, wrong build).
@@ -82,7 +99,7 @@ TEST(Detector, SuspiciousImprovementAlsoFlagged) {
   Rng rng(9);
   for (int i = 0; i < 15; ++i) {
     const double base = i < 10 ? 100.0 : 150.0;
-    history.add(makeEntry("T" + std::to_string(i),
+    history.add(makeEntry(stamp(i),
                           base * rng.noiseFactor(0.01)));
   }
   const auto events = history.detect();
@@ -104,7 +121,7 @@ TEST(Detector, MinBandFractionAbsorbsTinyNoise) {
   // subsequent point at 100.3 would be "3 sigma out".
   PerfHistory history;
   for (int i = 0; i < 10; ++i) {
-    history.add(makeEntry("T" + std::to_string(i), 100.0));
+    history.add(makeEntry(stamp(i), 100.0));
   }
   history.add(makeEntry("T10", 100.3));
   EXPECT_TRUE(history.detect().empty());
@@ -114,10 +131,10 @@ TEST(Detector, SeriesAreIndependent) {
   PerfHistory history;
   Rng rng(11);
   for (int i = 0; i < 16; ++i) {
-    history.add(makeEntry("T" + std::to_string(i),
+    history.add(makeEntry(stamp(i),
                           100.0 * rng.noiseFactor(0.01)));          // healthy
     const double base = i < 10 ? 200.0 : 160.0;                    // broken
-    history.add(makeEntry("T" + std::to_string(i), base, "csd3"));
+    history.add(makeEntry(stamp(i), base, "csd3"));
   }
   const auto events = history.detect();
   ASSERT_FALSE(events.empty());
@@ -148,7 +165,7 @@ TEST(ReferenceCheck, OutsideBandFlagsLatestPoint) {
 TEST(HistoryPlot, MarksFlaggedPoints) {
   PerfHistory history;
   for (int i = 0; i < 12; ++i) {
-    history.add(makeEntry("T" + std::to_string(i), i < 8 ? 100.0 : 80.0));
+    history.add(makeEntry(stamp(i), i < 8 ? 100.0 : 80.0));
   }
   const auto events = history.detect();
   const std::string plot = renderHistoryPlot(

@@ -90,7 +90,8 @@ RegressionTest streamTest() {
   test.sanityPattern = "Solution Validates";
   test.perfPatterns = {{"Triad", R"(Triad:\s+([0-9.]+))", Unit::kMBperSec}};
   test.run = [](const RunContext&) {
-    return RunOutput{"Triad: 100000.0 MB/s\nSolution Validates\n", 12.0};
+    return RunOutput{"Triad: 100000.0 MB/s\nSolution Validates\n", 12.0,
+                     false, ""};
   };
   return test;
 }

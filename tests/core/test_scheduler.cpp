@@ -117,7 +117,8 @@ TEST(Scheduler, SmallJobBackfillsAroundBlockedHead) {
 TEST(Scheduler, NodesConservedAfterDrain) {
   SchedulerSim sim({.numNodes = 3, .coresPerNode = 8});
   for (int i = 0; i < 10; ++i) {
-    sim.submit(simpleJob("j" + std::to_string(i), 2.0 + i, 2, 2, 3));
+    sim.submit(simpleJob(std::string("j").append(std::to_string(i)), 2.0 + i,
+                         2, 2, 3));
   }
   sim.drain();
   EXPECT_EQ(sim.idleCores(), sim.totalCores());

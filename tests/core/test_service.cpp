@@ -44,7 +44,7 @@ RegressionTest syntheticTest(const std::string& name = "SyntheticTest") {
   test.sanityPattern = "RESULT OK";
   test.perfPatterns = {{"rate", R"(rate\s+([0-9.]+))", Unit::kGBperSec}};
   test.run = [](const RunContext&) {
-    return RunOutput{"RESULT OK\nrate 123.5 GB/s\n", 2.0};
+    return RunOutput{"RESULT OK\nrate 123.5 GB/s\n", 2.0, false, ""};
   };
   return test;
 }

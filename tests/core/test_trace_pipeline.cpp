@@ -29,7 +29,7 @@ RegressionTest passingTest() {
                       std::to_string(100000.0 +
                                      1000.0 * ctx.allocation.cpusPerTask) +
                       " MB/s\nSolution Validates\n";
-    return RunOutput{out, /*elapsedSeconds=*/12.0};
+    return RunOutput{out, /*elapsedSeconds=*/12.0, false, ""};
   };
   return test;
 }
@@ -43,9 +43,9 @@ RegressionTest flakyTest(std::shared_ptr<std::atomic<int>> calls,
   test.run = [calls, failuresBeforeSuccess](const RunContext&) {
     const int attempt = calls->fetch_add(1);
     if (attempt < failuresBeforeSuccess) {
-      return RunOutput{"NODE FAILURE xid 62\n", 1.0};
+      return RunOutput{"NODE FAILURE xid 62\n", 1.0, false, ""};
     }
-    return RunOutput{"OK\nrate 42.0\n", 1.0};
+    return RunOutput{"OK\nrate 42.0\n", 1.0, false, ""};
   };
   return test;
 }

@@ -45,7 +45,9 @@ TEST(MgSolver, FmgErrorShrinksSecondOrder) {
     fillManufacturedRhs(solver.fineLevel());
     solver.fmgSolve();
     const double err = manufacturedError(solver.fineLevel());
-    if (prev > 0.0) EXPECT_GT(prev / err, 2.5) << "n=" << n;
+    if (prev > 0.0) {
+      EXPECT_GT(prev / err, 2.5) << "n=" << n;
+    }
     prev = err;
   }
 }

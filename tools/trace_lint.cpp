@@ -8,11 +8,9 @@
 //
 // Exit 0 when the trace satisfies every structural invariant the writer
 // guarantees (known schema version, monotone timestamps, parented spans,
-// no orphan events, span attribute contracts incl. history.append /
-// history.query and the postproc.columnar.* engine spans, which must
-// account for their work: rows always, chunks for convert/merge, inputs
-// for merge, kernel + skipped_chunks for kernels); exit 1 with one
-// message per violation otherwise.
+// no orphan events) and every record contract in the kRecordContracts
+// table of src/core/obs/trace_reader.cpp; exit 1 with one message per
+// violation otherwise.
 // With --store DIR the store's history chain is also checked: every
 // record must cite a campaign manifest that exists under DIR/manifests.
 // ctest runs this over the trace the quickstart example produces.
