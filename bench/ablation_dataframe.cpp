@@ -8,35 +8,32 @@
 // quantify per-kernel cost at 100k rows; reproduceAblation() checks the
 // claims the refactor was sold on — >=10x on group-by and per-group
 // percentiles at 1M rows, zone-map chunk skipping on clustered
-// predicates, streaming merge memory bounded by inputs x chunk (not
-// total rows), and bit-identical results from both engines — then
-// writes BENCH_dataframe.json.
+// predicates, and bit-identical results from both engines — then writes
+// BENCH_dataframe.json.  Both engines run single-threaded, so the
+// speedups are ratios of thread-CPU time (CLOCK_THREAD_CPUTIME_ID):
+// time the thread spent descheduled on a busy machine does not count.
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/framework/perflog.hpp"
 #include "core/postproc/columnar/arena.hpp"
 #include "core/postproc/columnar/kernels.hpp"
 #include "core/postproc/dataframe.hpp"
-#include "core/postproc/legacy_rowframe.hpp"
-#include "core/postproc/perflog_reader.hpp"
 #include "core/postproc/stats.hpp"
 #include "core/util/strings.hpp"
+#include "legacy_rowframe.hpp"
 
 namespace {
 
 using namespace rebench;
-namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kRows = 1'000'000;
 constexpr std::size_t kMicroRows = 100'000;
@@ -189,28 +186,15 @@ BENCHMARK(BM_DescribeColumnar)->Unit(benchmark::kMillisecond);
 
 // ---- checked ablation at 1M rows ----------------------------------------
 
-double seconds(Clock::time_point from) {
-  return std::chrono::duration<double>(Clock::now() - from).count();
+/// CPU time consumed by the calling thread, in seconds.
+double threadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-PerfLogEntry shardEntry(const std::string& stamp, const char* system,
-                        double value) {
-  PerfLogEntry entry;
-  entry.timestamp = stamp;
-  entry.system = system;
-  entry.partition = "standard";
-  entry.environ = "gcc@11.2.0";
-  entry.testName = "stream";
-  entry.spec = "stream@1.0";
-  entry.specHash = "0123456789abcdef";
-  entry.binaryId = "fedcba9876543210";
-  entry.jobId = '1';
-  entry.fomName = "bandwidth";
-  entry.value = value;
-  entry.unit = Unit::kGBperSec;
-  entry.result = "pass";
-  return entry;
-}
+double cpuSecondsSince(double start) { return threadCpuSeconds() - start; }
 
 int reproduceAblation() {
   int passed = 0;
@@ -226,14 +210,14 @@ int reproduceAblation() {
   const legacy::RowFrame rows = rowFrame(corpus);
 
   // (1) group-by: composite-key aggregation, both engines, same bytes.
-  const auto rowGroupStart = Clock::now();
+  const double rowGroupStart = threadCpuSeconds();
   const legacy::RowFrame rowGrouped =
       rows.groupBy(kGroupKeys, "value", Agg::kMean);
-  const double rowGroupSeconds = seconds(rowGroupStart);
-  const auto colGroupStart = Clock::now();
+  const double rowGroupSeconds = cpuSecondsSince(rowGroupStart);
+  const double colGroupStart = threadCpuSeconds();
   const DataFrame colGrouped =
       columnar.groupBy(kGroupKeys, "value", Agg::kMean);
-  const double colGroupSeconds = seconds(colGroupStart);
+  const double colGroupSeconds = cpuSecondsSince(colGroupStart);
   const double groupSpeedup = rowGroupSeconds / colGroupSeconds;
   check(colGrouped.toCsv() == rowGrouped.toCsv(),
         "group-by output is byte-identical across engines");
@@ -244,12 +228,12 @@ int reproduceAblation() {
   // (2) per-group percentiles: one sort per group vs the row idiom's
   // sort-per-percentile over map-of-vectors groups.
   const std::vector<double> ps = {50.0, 99.0};
-  const auto rowPctStart = Clock::now();
+  const double rowPctStart = threadCpuSeconds();
   const std::vector<double> rowPct = rowEnginePercentiles(rows, ps);
-  const double rowPctSeconds = seconds(rowPctStart);
-  const auto colPctStart = Clock::now();
+  const double rowPctSeconds = cpuSecondsSince(rowPctStart);
+  const double colPctStart = threadCpuSeconds();
   const DataFrame colPct = columnar.groupPercentiles(kGroupKeys, "value", ps);
-  const double colPctSeconds = seconds(colPctStart);
+  const double colPctSeconds = cpuSecondsSince(colPctStart);
   const double pctSpeedup = rowPctSeconds / colPctSeconds;
   bool pctMatch = colPct.rowCount() * ps.size() == rowPct.size();
   if (pctMatch) {
@@ -293,51 +277,9 @@ int reproduceAblation() {
             std::to_string(zoneStats.skippedChunks) + "/" +
             std::to_string(zoneStats.chunks) + ")");
 
-  // (6) streaming k-way merge: 8 shards of 25k rows merged through
-  // 4096-row windows must buffer O(inputs x chunk), not O(total rows),
-  // and come out globally time-ordered.
-  const fs::path dir = fs::temp_directory_path() / "rebench-bench-dataframe";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  constexpr std::size_t kShards = 8;
-  constexpr std::size_t kShardRows = 25'000;
-  std::vector<std::string> shardPaths;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::string path =
-        (dir / std::string("shard").append(std::to_string(s)).append(".log"))
-            .string();
-    std::ofstream out(path);
-    for (std::size_t i = 0; i < kShardRows; ++i) {
-      // Interleaved stamps: shard s holds s, s+8, s+16, ...
-      out << shardEntry(std::to_string(s + i * kShards), kSystems[s % 6],
-                        static_cast<double>(i))
-                 .serialize()
-          << "\n";
-    }
-  }
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    shardPaths.push_back(entry.path().string());
-  }
-  std::sort(shardPaths.begin(), shardPaths.end());
-  MergeStats mergeStats;
-  const auto mergeStart = Clock::now();
-  const columnar::Table merged =
-      mergePerflogsByTime(shardPaths, 4096, nullptr, &mergeStats);
-  const double mergeSeconds = seconds(mergeStart);
-  bool ordered = merged.rows == kShards * kShardRows;
-  const auto& stamps = merged.find("ts")->strs().materialize();
-  for (std::size_t i = 0; ordered && i < stamps.size(); ++i) {
-    ordered = stamps[i] == std::to_string(i);
-  }
-  check(ordered, "k-way merge of 8 shards is globally time-ordered");
-  check(mergeStats.peakBufferedRows <= kShards * 4096,
-        "merge buffers <= inputs x chunk rows (" +
-            std::to_string(mergeStats.peakBufferedRows) + " <= " +
-            std::to_string(kShards * 4096) + "), not total rows");
-  fs::remove_all(dir);
-
   std::ofstream out("BENCH_dataframe.json");
   out << "{\"schema\":\"rebench.bench_dataframe/1\","
+      << "\"clock\":\"thread_cpu\","
       << "\"rows\":" << kRows << ","
       << "\"groups\":" << colGrouped.rowCount() << ","
       << "\"groupby_row_engine_s\":" << str::fixed(rowGroupSeconds, 4) << ","
@@ -348,17 +290,11 @@ int reproduceAblation() {
       << "\"percentile_speedup\":" << str::fixed(pctSpeedup, 1) << ","
       << "\"zone_chunks\":" << zoneStats.chunks << ","
       << "\"zone_chunks_skipped\":" << zoneStats.skippedChunks << ","
-      << "\"merge_rows\":" << mergeStats.rows << ","
-      << "\"merge_rows_per_s\":"
-      << str::fixed(static_cast<double>(mergeStats.rows) / mergeSeconds, 1)
-      << ","
-      << "\"merge_peak_buffered_rows\":" << mergeStats.peakBufferedRows << ","
       << "\"checks_passed\":" << passed << ","
       << "\"checks_failed\":" << failed << "}\n";
   std::cout << "BENCH_dataframe.json written (group-by "
             << str::fixed(groupSpeedup, 1) << "x, percentiles "
-            << str::fixed(pctSpeedup, 1) << "x, merge peak "
-            << mergeStats.peakBufferedRows << " rows).\n";
+            << str::fixed(pctSpeedup, 1) << "x thread-CPU).\n";
   if (failed == 0) std::cout << "DATAFRAME ABLATION OK\n";
   return failed == 0 ? 0 : 1;
 }

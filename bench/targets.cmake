@@ -29,3 +29,5 @@ rebench_add_bench(ablation_profile.cpp)
 rebench_add_bench(ablation_history.cpp)
 rebench_add_bench(ablation_infer.cpp)
 rebench_add_bench(ablation_dataframe.cpp)
+# Row-engine baseline: the test-only oracle library from tests/CMakeLists.txt.
+target_link_libraries(ablation_dataframe PRIVATE rebench_rowframe_oracle)

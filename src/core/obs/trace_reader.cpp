@@ -130,7 +130,8 @@ const char* valueComplaint(const AttrRule& rule, std::string_view text) {
 }
 
 /// Checks one record against every contract row its name matches;
-/// `subject` opens each message ("<name> event", "<name> span '<id>'").
+/// `subject` opens each message ("<name> event #<index> in span '<id>'",
+/// "<name> span '<id>'").
 void checkContract(RecordKind kind, const std::string& name,
                    const std::string& subject, const AttrMap& attrs,
                    std::vector<std::string>& issues) {
@@ -280,13 +281,17 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
     }
   }
 
-  for (const EventRecord& event : trace.events) {
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const EventRecord& event = trace.events[i];
     if (!event.span.empty() && byId.find(event.span) == byId.end()) {
       issues.push_back("event '" + event.name + "' references unknown span '" +
                        event.span + "'");
     }
-    checkContract(kEvent, event.name, event.name + " event", event.attrs,
-                  issues);
+    // Events have no id: locate one by its index among the file's events
+    // and by the span that was open when it fired.
+    std::string subject = event.name + " event #" + std::to_string(i);
+    if (!event.span.empty()) subject += " in span '" + event.span + "'";
+    checkContract(kEvent, event.name, subject, event.attrs, issues);
   }
   for (const SpanRecord& span : trace.spans) {
     checkContract(kSpan, span.name, span.name + " span '" + span.id + "'",

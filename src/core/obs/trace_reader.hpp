@@ -64,7 +64,9 @@ TraceFile readTraceFile(const std::string& path);
 ///   * span end >= start,
 ///   * record timestamps monotone non-decreasing in file order,
 ///   * events reference existing spans (no orphans),
-///   * records obey their contracts (kRecordContracts, trace_reader.cpp).
+///   * records obey their contracts (kRecordContracts, trace_reader.cpp);
+///     a span issue names the span id, an event issue the event's index in
+///     file order among the events and the id of its owning span.
 std::vector<std::string> lintTrace(const TraceFile& trace);
 
 }  // namespace rebench::obs

@@ -10,9 +10,10 @@
 // live in rebench::columnar (contiguous doubles, dictionary-encoded
 // strings, selection vectors, zone maps — see columnar/kernels.hpp), and
 // every operation reproduces the original row engine bit-for-bit (the
-// `legacy::RowFrame` in legacy_rowframe.hpp, which the byte-identity
-// ctest gate diffs against).  `strings()` decodes the dictionary into a
-// cached `vector<string>` on first use, so the accessor API is unchanged.
+// `legacy::RowFrame` in tests/core/legacy_rowframe.hpp, a test-only
+// library the byte-identity ctest gate diffs against).  `strings()`
+// decodes the dictionary into a cached `vector<string>` on first use, so
+// the accessor API is unchanged.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,6 @@
 // Unit tests for the columnar engine underneath DataFrame: column
 // primitives, zone-map skipping, schema-checked concatenation, the
-// on-disk colframe cache and the streaming perflog merge.
+// on-disk colframe cache and streaming perflog assimilation.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -312,36 +312,47 @@ TEST(ConcatTables, TranslatesDictionaryCodesAcrossInputs) {
 
 // ---- colframe cache -----------------------------------------------------
 
-columnar::Table losslessFixture() {
-  std::vector<PerfLogEntry> entries;
+/// A three-row table shaped like a cached perflog frame, with a numeric
+/// column that holds nulls (`ref`) and string columns that hold nulls
+/// (`x:num_tasks`, `x:array_size`), so the colfile validity round trip is
+/// exercised for both column kinds.
+columnar::Table colframeFixture() {
+  columnar::StringColumn ts, system, tasks, arraySize;
+  columnar::DoubleColumn value, ref;
   for (int i = 0; i < 3; ++i) {
-    PerfLogEntry entry;
-    entry.timestamp = std::to_string(100 + i);
-    entry.system = i < 2 ? "archer2" : "csd3";
-    entry.partition = "standard";
-    entry.environ = "gcc@11.2.0";
-    entry.testName = "stream";
-    entry.spec = "stream@1.0";
-    entry.specHash = "abc123";
-    entry.binaryId = "bin456";
-    entry.jobId = std::to_string(9000 + i);
-    entry.fomName = "triad";
-    entry.value = 100.0 + i;
-    entry.unit = Unit::kGBperSec;
-    if (i == 1) entry.reference = 105.0;  // ref only on one row
-    entry.lowerThresh = -0.05;
-    entry.upperThresh = 0.05;
-    entry.result = "pass";
-    if (i != 2) entry.extras["num_tasks"] = std::to_string(4 * (i + 1));
-    if (i == 2) entry.extras["array_size"] = "1048576";
-    entries.push_back(entry);
+    columnar::appendString(ts, std::to_string(100 + i));
+    columnar::appendString(system, i < 2 ? "archer2" : "csd3");
+    columnar::appendDouble(value, 100.0 + i);
+    if (i == 1) {
+      columnar::appendDouble(ref, 105.0);  // ref only on one row
+    } else {
+      columnar::appendDoubleNull(ref);
+    }
+    if (i != 2) {
+      columnar::appendString(tasks, std::to_string(4 * (i + 1)));
+      columnar::appendStringNull(arraySize);
+    } else {
+      columnar::appendStringNull(tasks);
+      columnar::appendString(arraySize, "1048576");
+    }
   }
-  return entriesToTable(entries);
+  columnar::Table table;
+  table.rows = 3;
+  table.columns.push_back({"ts", std::move(ts)});
+  table.columns.push_back({"system", std::move(system)});
+  table.columns.push_back({"value", std::move(value)});
+  table.columns.push_back({"ref", std::move(ref)});
+  table.columns.push_back({"x:array_size", std::move(arraySize)});
+  table.columns.push_back({"x:num_tasks", std::move(tasks)});
+  return table;
 }
 
 TEST(ColFrame, RoundTripsThroughTheObjectStore) {
   store::ObjectStore store(tempPath("colframe_rt"));
-  const columnar::Table table = losslessFixture();
+  const columnar::Table table = colframeFixture();
+  ASSERT_EQ(table.find("ref")->doubles().nullCount(), 2u);
+  ASSERT_EQ(table.find("x:num_tasks")->strs().nullCount(), 1u);
+  ASSERT_EQ(table.find("x:array_size")->strs().nullCount(), 2u);
   const std::string footer = columnar::writeColFrame(store, table);
   const auto loaded = columnar::readColFrame(store, footer);
   ASSERT_TRUE(loaded.has_value());
@@ -375,14 +386,14 @@ TEST(ColFrame, RoundTripsThroughTheObjectStore) {
 TEST(ColFrame, WriteIsDeterministic) {
   store::ObjectStore a(tempPath("colframe_det_a"));
   store::ObjectStore b(tempPath("colframe_det_b"));
-  EXPECT_EQ(columnar::writeColFrame(a, losslessFixture()),
-            columnar::writeColFrame(b, losslessFixture()));
+  EXPECT_EQ(columnar::writeColFrame(a, colframeFixture()),
+            columnar::writeColFrame(b, colframeFixture()));
 }
 
 TEST(ColFrame, AttachesFooterZoneMapsOnRead) {
   store::ObjectStore store(tempPath("colframe_zones"));
   const std::string footer =
-      columnar::writeColFrame(store, losslessFixture());
+      columnar::writeColFrame(store, colframeFixture());
   const auto loaded = columnar::readColFrame(store, footer);
   ASSERT_TRUE(loaded.has_value());
   const columnar::Column* value = loaded->find("value");
@@ -396,7 +407,7 @@ TEST(ColFrame, AttachesFooterZoneMapsOnRead) {
 
 TEST(ColFrame, CorruptColumnBlobReadsAsAbsent) {
   store::ObjectStore store(tempPath("colframe_corrupt"));
-  const columnar::Table table = losslessFixture();
+  const columnar::Table table = colframeFixture();
   const std::string footer = columnar::writeColFrame(store, table);
 
   // Truncate every object except the footer; the verified get must fail
@@ -420,7 +431,7 @@ TEST(ColFrame, MissingFooterReadsAsAbsent) {
       columnar::readColFrame(store, "0123456789abcdef").has_value());
 }
 
-// ---- perflog cache + merge ----------------------------------------------
+// ---- perflog cache + assimilation ---------------------------------------
 
 std::string writePerflog(const std::string& leaf,
                          const std::vector<PerfLogEntry>& entries) {
@@ -462,8 +473,9 @@ TEST(FrameCache, ConvertsOnceThenHitsByContentHash) {
   const FrameCacheResult second = loadOrConvertPerflog(store, path);
   EXPECT_TRUE(second.cacheHit);
   EXPECT_EQ(second.table.rows, 2u);
-  EXPECT_EQ(tableToPerflogEntries(second.table)[1].serialize(),
-            simpleEntry("2", "archer2", 2.0).serialize());
+  EXPECT_EQ(second.table.columns.size(), 9u);  // the analysis frame
+  EXPECT_EQ(analysisFrameFromTable(second.table).toCsv(),
+            perflogToDataFrame(PerfLog::readFile(path)).toCsv());
 }
 
 TEST(FrameCache, ChangedFileMissesTheOldEntry) {
@@ -494,102 +506,70 @@ TEST(FrameCache, CorruptCacheDegradesToReparse) {
   const FrameCacheResult reread = loadOrConvertPerflog(store, path);
   EXPECT_FALSE(reread.cacheHit);
   EXPECT_EQ(reread.table.rows, 1u);
-  EXPECT_EQ(tableToPerflogEntries(reread.table)[0].serialize(),
-            simpleEntry("1", "archer2", 1.0).serialize());
+  EXPECT_EQ(analysisFrameFromTable(reread.table).toCsv(),
+            perflogToDataFrame(PerfLog::readFile(path)).toCsv());
 }
 
-TEST(LosslessTable, RoundTripsEntriesIncludingExtrasAndReference) {
-  std::vector<PerfLogEntry> entries;
-  entries.push_back(simpleEntry("10", "archer2", 1.5));
-  entries.back().extras["num_tasks"] = "8";
-  entries.push_back(simpleEntry("11", "csd3", 2.5));
-  entries.back().reference = 2.0;
-  entries.back().extras["array_size"] = "4096";
-  entries.back().result = "fail";
-
-  const columnar::Table table = entriesToTable(entries);
-  const std::vector<PerfLogEntry> back = tableToPerflogEntries(table);
-  ASSERT_EQ(back.size(), entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(back[i].serialize(), entries[i].serialize());
-  }
-  // Each extras key appears exactly once in sorted order, with nulls on
-  // the rows that lack it.
-  const columnar::Column* tasks = table.find("x:num_tasks");
-  ASSERT_NE(tasks, nullptr);
-  EXPECT_EQ(tasks->strs().nullCount(), 1u);
-}
-
-TEST(LosslessTable, AnalysisProjectionMatchesDirectConversion) {
-  std::vector<PerfLogEntry> entries = {simpleEntry("1", "archer2", 1.0),
-                                       simpleEntry("2", "csd3", 2.0)};
+TEST(FrameCache, OlderCacheWithExtraColumnsProjectsToTheSameCsv) {
+  // Earlier caches stored every perflog field plus one `x:<key>` column
+  // per extras key, in an order where the analysis columns interleave
+  // with the rest.  The projection must still read the same frame.
+  std::vector<PerfLogEntry> entries = {simpleEntry("T0", "archer2", 1.0),
+                                       simpleEntry("T1", "csd3", 2.0)};
   entries[0].extras["num_tasks"] = "4";
   const DataFrame direct = perflogToDataFrame(entries);
-  const DataFrame projected = analysisFrameFromTable(entriesToTable(entries));
-  EXPECT_EQ(projected.toCsv(), direct.toCsv());
-}
 
-TEST(MergePerflogs, OrdersNumericStampsNumerically) {
-  // Lexicographic order would put "9" after "10"; numeric order must not.
-  const std::string a = writePerflog(
-      "merge_a.log",
-      {simpleEntry("9", "archer2", 1.0), simpleEntry("100", "archer2", 3.0)});
-  const std::string b = writePerflog(
-      "merge_b.log",
-      {simpleEntry("10", "csd3", 2.0), simpleEntry("200", "csd3", 4.0)});
-  const std::vector<std::string> paths = {a, b};
-  const columnar::Table merged = mergePerflogsByTime(paths);
-  const std::vector<PerfLogEntry> rows = tableToPerflogEntries(merged);
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[0].timestamp, "9");
-  EXPECT_EQ(rows[1].timestamp, "10");
-  EXPECT_EQ(rows[2].timestamp, "100");
-  EXPECT_EQ(rows[3].timestamp, "200");
-}
-
-TEST(MergePerflogs, TiesKeepInputOrderAndTextStampsSortLast) {
-  const std::string a = writePerflog(
-      "merge_tie_a.log",
-      {simpleEntry("5", "archer2", 1.0), simpleEntry("T2", "archer2", 9.0)});
-  const std::string b = writePerflog(
-      "merge_tie_b.log",
-      {simpleEntry("5", "csd3", 2.0), simpleEntry("T1", "csd3", 8.0)});
-  const std::vector<std::string> paths = {a, b};
-  const std::vector<PerfLogEntry> rows =
-      tableToPerflogEntries(mergePerflogsByTime(paths));
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[0].system, "archer2");  // tie at "5": input 0 first
-  EXPECT_EQ(rows[1].system, "csd3");
-  EXPECT_EQ(rows[2].timestamp, "T1");  // non-numeric: lexicographic, last
-  EXPECT_EQ(rows[3].timestamp, "T2");
-}
-
-TEST(MergePerflogs, BuffersAtMostOneChunkPerInput) {
-  std::vector<PerfLogEntry> a, b;
-  for (int i = 0; i < 20; ++i) {
-    a.push_back(simpleEntry(std::to_string(2 * i), "archer2", i));
-    b.push_back(simpleEntry(std::to_string(2 * i + 1), "csd3", i));
+  columnar::Table old;
+  old.rows = entries.size();
+  columnar::StringColumn ts, tasks;
+  for (const PerfLogEntry& entry : entries) {
+    columnar::appendString(ts, entry.timestamp);
+    const auto it = entry.extras.find("num_tasks");
+    if (it != entry.extras.end()) {
+      columnar::appendString(tasks, it->second);
+    } else {
+      columnar::appendStringNull(tasks);
+    }
   }
-  const std::vector<std::string> paths = {writePerflog("merge_mem_a.log", a),
-                                          writePerflog("merge_mem_b.log", b)};
-  MergeStats stats;
-  const columnar::Table merged =
-      mergePerflogsByTime(paths, /*chunkRows=*/4, nullptr, &stats);
-  EXPECT_EQ(merged.rows, 40u);
-  EXPECT_EQ(stats.inputs, 2u);
-  EXPECT_EQ(stats.rows, 40u);
-  EXPECT_LE(stats.peakBufferedRows, 2u * 4u);  // inputs x chunkRows
+  old.columns.push_back({"ts", std::move(ts)});
+  for (const columnar::Column& col : direct.table().columns) {
+    old.columns.push_back(col);
+  }
+  old.columns.push_back({"x:num_tasks", std::move(tasks)});
+  std::swap(old.columns[1], old.columns[9]);  // value before system
 
-  // Perfectly interleaved stamps come out globally sorted.
-  const std::vector<PerfLogEntry> rows = tableToPerflogEntries(merged);
-  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
-    EXPECT_LT(std::stod(rows[i].timestamp), std::stod(rows[i + 1].timestamp));
+  store::ObjectStore store(tempPath("old_cache_store"));
+  const auto cached =
+      columnar::readColFrame(store, columnar::writeColFrame(store, old));
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(analysisFrameFromTable(*cached).toCsv(), direct.toCsv());
+}
+
+TEST(AssimilatePerflogs, ConcatenatesFilesInTheOrderGiven) {
+  // rebench stamps runs T0, T1, ...; assimilation keeps each file's rows
+  // in file order and the files in argument order, whatever the stamps.
+  std::vector<PerfLogEntry> archer2, csd3;
+  for (int i = 0; i < 12; ++i) {
+    const std::string stamp = std::string("T").append(std::to_string(i));
+    archer2.push_back(simpleEntry(stamp, "archer2", i));
+    csd3.push_back(simpleEntry(stamp, "csd3", 100 + i));
+  }
+  const std::vector<std::string> paths = {
+      writePerflog("assimilate_a.log", archer2),
+      writePerflog("assimilate_c.log", csd3)};
+  const DataFrame frame = assimilatePerflogs(paths);
+  ASSERT_EQ(frame.rowCount(), 24u);
+  const auto& systems = frame.strings("system");
+  const auto& values = frame.numeric("value");
+  for (std::size_t i = 0; i < 24; ++i) {
+    EXPECT_EQ(systems[i], i < 12 ? "archer2" : "csd3") << i;
+    EXPECT_EQ(values[i], static_cast<double>(i < 12 ? i : 88 + i)) << i;
   }
 }
 
-TEST(MergePerflogs, UnreadableInputThrows) {
-  const std::vector<std::string> paths = {tempPath("merge_nope.log")};
-  EXPECT_THROW(mergePerflogsByTime(paths), Error);
+TEST(AssimilatePerflogs, UnreadableInputThrows) {
+  const std::vector<std::string> paths = {tempPath("assimilate_nope.log")};
+  EXPECT_THROW(assimilatePerflogs(paths), Error);
 }
 
 // ---- observability spans ------------------------------------------------

@@ -11,8 +11,8 @@
 
 #include "core/framework/perflog.hpp"
 #include "core/postproc/dataframe.hpp"
-#include "core/postproc/legacy_rowframe.hpp"
 #include "core/postproc/perflog_reader.hpp"
+#include "legacy_rowframe.hpp"
 
 namespace rebench {
 namespace {

@@ -742,6 +742,28 @@ TEST(TraceLint, RecordContractsMatchGoldenIssues) {
   EXPECT_EQ(str::join(issues, "\n"), str::join(expected, "\n"));
 }
 
+// Events carry no id, so an event issue names the event's index among
+// the file's events and, when a span was open, the owning span's id.
+TEST(TraceLint, EventContractIssuesLocateTheEvent) {
+  Tracer tracer;
+  tracer.event("fault.inject", {{"kind", "crash"}, {"key", "t|s|0"}});
+  tracer.beginSpan("campaign");
+  tracer.event("fault.inject", {{"kind", "crash"}});
+  tracer.event("fault.inject", {{"kind", "crash"}});
+  tracer.endSpan();
+  tracer.event("store.evict", {});
+  const TraceFile trace = parseTraceJsonl(tracer.toJsonl());
+  ASSERT_EQ(trace.spans.size(), 1u);
+  const std::string& owner = trace.spans[0].id;
+  EXPECT_EQ(lintTrace(trace),
+            (std::vector<std::string>{
+                "fault.inject event #1 in span '" + owner +
+                    "' without a 'key' attribute",
+                "fault.inject event #2 in span '" + owner +
+                    "' without a 'key' attribute",
+                "store.evict event #3 without a 'hash' attribute"}));
+}
+
 TEST(TraceLint, FlagsNonMonotoneRootIdsAfterMerge) {
   // Hand-build a trace whose roots appear out of order — what a broken
   // absorb (or a hand-edited file) would produce.
