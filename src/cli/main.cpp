@@ -236,37 +236,27 @@ struct TraceSession {
   void writeMetrics(std::span<const history::FomAggregate> foms) {
     if (!metricsOut.has_value()) return;
     std::vector<obs::MetricSample> samples;
-    auto labelsFor = [](const history::FomAggregate& fom) {
-      return std::map<std::string, std::string>{
-          {"test", fom.test}, {"target", fom.target}, {"fom", fom.fom}};
-    };
-    // Grouped by family ("rebench_fom_stat", then "..._repeats", then
-    // the inference gauges "..._ci_halfwidth" / "..._ess") because the
-    // renderer emits one # TYPE header per run of equal family names.
     for (const history::FomAggregate& fom : foms) {
+      const std::map<std::string, std::string> labels{
+          {"test", fom.test}, {"target", fom.target}, {"fom", fom.fom}};
       for (const auto& [stat, value] :
            {std::pair<const char*, double>{"mean", fom.mean},
             {"min", fom.min},
             {"max", fom.max}}) {
-        auto labels = labelsFor(fom);
-        labels["stat"] = stat;
-        samples.push_back({"rebench_fom_stat", std::move(labels), value});
+        auto statLabels = labels;
+        statLabels["stat"] = stat;
+        samples.push_back({"rebench_fom_stat", std::move(statLabels), value});
       }
-    }
-    for (const history::FomAggregate& fom : foms) {
-      samples.push_back({"rebench_fom_repeats", labelsFor(fom),
+      samples.push_back({"rebench_fom_repeats", labels,
                          static_cast<double>(fom.repeats)});
+      samples.push_back({"rebench_fom_ci_halfwidth", labels, fom.ciHalfwidth});
+      samples.push_back({"rebench_fom_ess", labels, fom.ess});
     }
-    for (const history::FomAggregate& fom : foms) {
-      samples.push_back(
-          {"rebench_fom_ci_halfwidth", labelsFor(fom), fom.ciHalfwidth});
-    }
-    for (const history::FomAggregate& fom : foms) {
-      samples.push_back({"rebench_fom_ess", labelsFor(fom), fom.ess});
-    }
-    // Family-sorted so the extras section obeys the same lexicographic
-    // order as the registry dump (metrics_lint checks this); the sort is
-    // stable, keeping the canonical per-family sample order.
+    // Grouped by family, because the renderer emits one # TYPE header per
+    // run of equal family names, and family-sorted so the extras section
+    // obeys the same lexicographic order as the registry dump
+    // (metrics_lint checks this); the sort is stable, keeping the
+    // canonical aggregate order within each family.
     std::stable_sort(samples.begin(), samples.end(),
                      [](const obs::MetricSample& a,
                         const obs::MetricSample& b) {

@@ -143,8 +143,12 @@ CampaignExecContext::BuildRole CampaignExecutor::roleForLocked(
   if (unit.buildKey.empty()) return Role::kDirect;
   if (warmKeys_.contains(unit.buildKey)) return Role::kCached;
   // First live user in canonical order leads; everyone later follows.
-  // Units run in canonical order too (FIFO pool), so a follower's leader
-  // has always at least started — no waiting on a never-scheduled build.
+  // Units are submitted in canonical order and the pool starts tasks in
+  // submission order (whichever worker or helping waiter pops them), so a
+  // follower's leader has always at least started — no waiting on a
+  // never-scheduled build.  Start order is all this needs: the leader
+  // runs to completion on the thread that popped it, since no unit waits
+  // on this pool.
   for (const std::size_t index : users_.at(unit.buildKey)) {
     const Unit& candidate = units_[index];
     if (candidate.status == Unit::Status::kSkipped) continue;

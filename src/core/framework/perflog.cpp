@@ -218,12 +218,7 @@ void PerfLog::append(const PerfLogEntry& entry) {
   }
 }
 
-namespace {
-
-/// Lines in the regular file `path`, counted in fixed-size blocks so the
-/// file is never held whole; 0 for a pipe or any stream that cannot be
-/// read twice.
-std::size_t countLines(const std::string& path) {
+std::size_t countPerflogLines(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::is_regular_file(path, ec)) return 0;
   std::ifstream in(path, std::ios::binary);
@@ -239,20 +234,18 @@ std::size_t countLines(const std::string& path) {
   return lines + (last != '\n' ? 1 : 0);
 }
 
-/// The one line loop of readFile and readFileLenient: reserves `entries`
-/// for every line of `path`, then streams its non-blank lines through a
-/// single reused buffer into `onLine`.  Memory holds the entries and one
-/// line, never the whole file, and `entries` never grows by doubling.
+namespace {
+
+/// readFile and readFileLenient: reserves `entries` for every line of
+/// `path`, then streams it through forEachPerflogLine, so `entries`
+/// never grows by doubling.
 template <typename OnLine>
 void forEachLine(const std::string& path, std::vector<PerfLogEntry>& entries,
                  OnLine onLine) {
   std::ifstream in(path);
   if (!in) throw Error("cannot read perflog file '" + path + "'");
-  entries.reserve(countLines(path));
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!str::trim(line).empty()) onLine(line);
-  }
+  entries.reserve(countPerflogLines(path));
+  forEachPerflogLine(in, onLine);
 }
 
 /// Appends `line` parsed, or counts it as corrupt.

@@ -7,12 +7,14 @@
 // transcription.
 #pragma once
 
+#include <istream>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/util/strings.hpp"
 #include "core/util/units.hpp"
 
 namespace rebench {
@@ -48,6 +50,23 @@ struct PerfLogEntry {
   /// unknown unit.
   static PerfLogEntry parse(std::string_view line);
 };
+
+/// The one perflog line loop: calls `onLine(std::string_view)` with each
+/// non-blank line of `in`, read through one reused buffer, so memory holds
+/// one line, never the whole stream.  PerfLog::readFile, readFileLenient,
+/// assimilatePerflogs and the colframe cache all split lines here.
+template <typename OnLine>
+void forEachPerflogLine(std::istream& in, OnLine&& onLine) {
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!str::trim(line).empty()) onLine(std::string_view(line));
+  }
+}
+
+/// Lines in the regular file `path`, counted in fixed-size blocks so the
+/// file is never held whole; 0 for a pipe or any stream that cannot be
+/// read twice.  Readers reserve with it before forEachPerflogLine.
+std::size_t countPerflogLines(const std::string& path);
 
 /// Collects perflog lines in memory and/or appends them to a file.
 class PerfLog {

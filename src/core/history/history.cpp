@@ -16,45 +16,65 @@
 
 namespace rebench::history {
 
+FomAggregate FomAggregate::parse(const obs::json::Value& value) {
+  FomAggregate aggregate;
+  aggregate.test = value.stringOr("test", "");
+  aggregate.target = value.stringOr("target", "");
+  aggregate.fom = value.stringOr("fom", "");
+  aggregate.specHash = value.stringOr("spec", "");
+  aggregate.mean = value.numberOr("mean", 0.0);
+  aggregate.min = value.numberOr("min", 0.0);
+  aggregate.max = value.numberOr("max", 0.0);
+  aggregate.ciHalfwidth = value.numberOr("ci", 0.0);
+  aggregate.ess = value.numberOr("ess", 0.0);
+  aggregate.autocorr = value.numberOr("autocorr", 0.0);
+  aggregate.repeats = static_cast<int>(value.numberOr("repeats", 0));
+  return aggregate;
+}
+
 std::vector<FomAggregate> aggregateFoms(
     std::span<const TestRunResult> results) {
   struct Accumulator {
+    FomAggregate aggregate;  // names, min, max and repeats so far
     double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    int repeats = 0;
     std::vector<double> samples;  // repeat order, for the CI/ESS view
   };
   // Keyed (test, target, fom) so output order is canonical regardless of
   // the (already canonical) result order.
   std::map<std::string, Accumulator> series;
-  std::map<std::string, FomAggregate> names;
+  std::map<std::string, std::string> specHashes;  // "test|target" -> hash
   for (const TestRunResult& result : results) {
-    if (result.quarantined || result.foms.empty()) continue;
     const std::string target = result.system + ":" + result.partition;
+    const std::string pair = result.testName + "|" + target;
+    if (result.concreteSpec != nullptr) {
+      const auto [spec, first] = specHashes.try_emplace(pair);
+      if (first) spec->second = result.concreteSpec->dagHash();
+    }
+    if (result.quarantined || result.foms.empty()) continue;
     for (const auto& [fom, value] : result.foms) {
-      const std::string key = result.testName + "|" + target + "|" + fom;
-      Accumulator& acc = series[key];
-      if (acc.repeats == 0) {
-        acc.min = value;
-        acc.max = value;
-        names[key] = {result.testName, target, fom, 0.0, 0.0, 0.0, 0};
+      Accumulator& acc = series[pair + "|" + fom];
+      FomAggregate& aggregate = acc.aggregate;
+      if (aggregate.repeats == 0) {
+        aggregate.test = result.testName;
+        aggregate.target = target;
+        aggregate.fom = fom;
+        aggregate.min = value;
+        aggregate.max = value;
       }
       acc.sum += value;
-      acc.min = std::min(acc.min, value);
-      acc.max = std::max(acc.max, value);
+      aggregate.min = std::min(aggregate.min, value);
+      aggregate.max = std::max(aggregate.max, value);
       acc.samples.push_back(value);
-      ++acc.repeats;
+      ++aggregate.repeats;
     }
   }
   std::vector<FomAggregate> out;
   out.reserve(series.size());
-  for (const auto& [key, acc] : series) {
-    FomAggregate aggregate = names.at(key);
-    aggregate.mean = acc.sum / acc.repeats;
-    aggregate.min = acc.min;
-    aggregate.max = acc.max;
-    aggregate.repeats = acc.repeats;
+  for (auto& [key, acc] : series) {
+    FomAggregate aggregate = std::move(acc.aggregate);
+    const auto spec = specHashes.find(aggregate.test + "|" + aggregate.target);
+    if (spec != specHashes.end()) aggregate.specHash = spec->second;
+    aggregate.mean = acc.sum / aggregate.repeats;
     const infer::SeriesEstimate est = infer::estimateSeries(acc.samples);
     // A single repeat has no defined interval; record 0 = "unknown"
     // rather than an unserializable infinity.
@@ -84,7 +104,7 @@ std::string serializeSegment(std::span<const HistoryRecord> records,
         << ",\"mean\":" << str::fixed(record.mean, 6)
         << ",\"min\":" << str::fixed(record.min, 6)
         << ",\"max\":" << str::fixed(record.max, 6)
-        << ",\"ci\":" << str::fixed(record.ci, 6)
+        << ",\"ci\":" << str::fixed(record.ciHalfwidth, 6)
         << ",\"ess\":" << str::fixed(record.ess, 3)
         << ",\"repeats\":" << record.repeats
         << ",\"sim_timestamp\":" << str::fixed(record.simTimestamp, 6)
@@ -117,19 +137,10 @@ std::vector<HistoryRecord> parseSegment(std::string_view bytes,
       sawMeta = true;
     } else if (kind == "record") {
       HistoryRecord record;
+      static_cast<FomAggregate&>(record) = FomAggregate::parse(value);
       record.seq = static_cast<std::uint64_t>(value.numberOr("seq", 0));
-      record.test = value.stringOr("test", "");
-      record.target = value.stringOr("target", "");
-      record.fom = value.stringOr("fom", "");
       record.manifestHash = value.stringOr("manifest", "");
       record.envFingerprint = value.stringOr("env", "");
-      record.specHash = value.stringOr("spec", "");
-      record.mean = value.numberOr("mean", 0);
-      record.min = value.numberOr("min", 0);
-      record.max = value.numberOr("max", 0);
-      record.ci = value.numberOr("ci", 0);
-      record.ess = value.numberOr("ess", 0);
-      record.repeats = static_cast<int>(value.numberOr("repeats", 0));
       record.simTimestamp = value.numberOr("sim_timestamp", 0);
       records.push_back(std::move(record));
     }
@@ -340,7 +351,7 @@ std::string renderHistoryJson(
           << ",\"mean\":" << obs::formatMetricValue(record.mean)
           << ",\"min\":" << obs::formatMetricValue(record.min)
           << ",\"max\":" << obs::formatMetricValue(record.max)
-          << ",\"ci\":" << obs::formatMetricValue(record.ci)
+          << ",\"ci\":" << obs::formatMetricValue(record.ciHalfwidth)
           << ",\"ess\":" << obs::formatMetricValue(record.ess)
           << ",\"repeats\":" << record.repeats << ",\"sim_timestamp\":"
           << obs::formatMetricValue(record.simTimestamp)
@@ -399,7 +410,7 @@ std::vector<GateResult> checkRegression(std::span<const HistoryRecord> records,
     for (double mean : baselineMeans) sum += mean;
     verdict.baseline = sum / static_cast<double>(baselineMeans.size());
     verdict.latest = series[newest].mean;
-    verdict.latestCi = series[newest].ci;
+    verdict.latestCi = series[newest].ciHalfwidth;
     verdict.latestEss = series[newest].ess;
     verdict.delta = verdict.baseline != 0.0
                         ? (verdict.latest - verdict.baseline) / verdict.baseline

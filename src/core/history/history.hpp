@@ -39,6 +39,10 @@ class Tracer;
 class MetricsRegistry;
 }  // namespace rebench::obs
 
+namespace rebench::obs::json {
+struct Value;
+}  // namespace rebench::obs::json
+
 namespace rebench::store {
 class ObjectStore;
 }  // namespace rebench::store
@@ -53,32 +57,19 @@ inline constexpr std::string_view kHistorySchema = "rebench.history/1";
 /// ObjectStore ref naming the newest segment of the chain.
 inline constexpr std::string_view kHeadRef = "history/head";
 
-/// One (test, target, fom) observation from one campaign.
-struct HistoryRecord {
-  std::uint64_t seq = 0;       // global append order, assigned by the index
-  std::string test;            // test name
-  std::string target;          // "system:partition"
-  std::string fom;             // figure-of-merit name
-  std::string manifestHash;    // campaign manifest contentHash
-  std::string envFingerprint;  // BuildCache::environmentFingerprint
-  std::string specHash;        // concrete spec DAG hash
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double ci = 0.0;   // 95% CI half-width of the mean (0 = unknown)
-  double ess = 0.0;  // autocorrelation-corrected effective sample size
-  int repeats = 0;
-  double simTimestamp = 0.0;  // cumulative simulated seconds at append
-};
-
 /// Reduces campaign results to per-(test, target, fom) aggregates in
 /// canonical (test, target, fom) order.  Quarantined and failed runs
-/// carry no FOMs and drop out naturally.  Shared by the history appender
-/// and the OpenMetrics FOM samples, so both views agree byte-wise.
+/// carry no FOMs and drop out naturally.  The one aggregate record: the
+/// history appender, the OpenMetrics FOM samples, the campaign manifest's
+/// `foms` and the service journal's `executed` checkpoint all read it, so
+/// every view agrees byte-wise; a HistoryRecord is one plus provenance.
 struct FomAggregate {
   std::string test;
   std::string target;
   std::string fom;
+  /// DAG hash of the first concretized spec the campaign ran for (test,
+  /// target), in result order, passing or not ("" when none concretized).
+  std::string specHash;
   double mean = 0.0;
   double min = 0.0;
   double max = 0.0;
@@ -89,8 +80,23 @@ struct FomAggregate {
   double ess = 0.0;
   double autocorr = 0.0;
   int repeats = 0;
+
+  /// Reads one aggregate object as the campaign manifest ("ci",
+  /// "autocorr"), the service journal or a history segment ("spec",
+  /// "min", "max", "ci") renders it; absent members keep their defaults.
+  static FomAggregate parse(const obs::json::Value& value);
 };
 std::vector<FomAggregate> aggregateFoms(std::span<const TestRunResult> results);
+
+/// One (test, target, fom) observation from one campaign: the campaign's
+/// aggregate plus where it came from.  Segments render every aggregate
+/// member but `autocorr`.
+struct HistoryRecord : FomAggregate {
+  std::uint64_t seq = 0;       // global append order, assigned by the index
+  std::string manifestHash;    // campaign manifest contentHash
+  std::string envFingerprint;  // BuildCache::environmentFingerprint
+  double simTimestamp = 0.0;  // cumulative simulated seconds at append
+};
 
 /// The chain view over an ObjectStore.  Not thread-safe; callers append
 /// from the (single-threaded) CLI tail after campaign merge.

@@ -113,8 +113,8 @@ PivotCells pivotAggregate(const StringColumn& rowCol,
 /// bit-for-bit (single sort instead of three).
 Table describeTable(const Table& in, KernelStats* stats = nullptr);
 
-/// Linear-interpolated percentile over an already-sorted sample; the same
-/// formula as stats::percentile after its sort.
+/// Linear-interpolated percentile over an already-sorted sample, p in
+/// [0, 100]; stats::percentile sorts a copy and calls this.
 double sortedPercentile(std::span<const double> sorted, double p);
 
 }  // namespace rebench::columnar

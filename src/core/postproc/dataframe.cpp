@@ -201,13 +201,7 @@ DataFrame DataFrame::concat(std::span<const DataFrame> frames) {
   }
   columnar::ConcatStats stats;
   columnar::Table merged = columnar::concatTables(tables, &stats);
-  if (tracer != nullptr) {
-    obs::ScopedSpan span(tracer, "postproc.columnar.merge");
-    span.attr("inputs", std::to_string(stats.inputs));
-    span.attr("rows", std::to_string(stats.rows));
-    span.attr("chunks", std::to_string(stats.chunks));
-    span.attr("peak_buffered_rows", std::to_string(stats.peakBufferedRows));
-  }
+  emitMergeSpan(tracer, stats);
   DataFrame out;
   out.table_ = std::move(merged);
   out.tracer_ = tracer;
@@ -369,6 +363,15 @@ DataFrame DataFrame::fromTable(columnar::Table table) {
   DataFrame out;
   out.table_ = std::move(table);
   return out;
+}
+
+void emitMergeSpan(obs::Tracer* tracer, const columnar::ConcatStats& stats) {
+  if (tracer == nullptr) return;
+  obs::ScopedSpan span(tracer, "postproc.columnar.merge");
+  span.attr("inputs", std::to_string(stats.inputs));
+  span.attr("rows", std::to_string(stats.rows));
+  span.attr("chunks", std::to_string(stats.chunks));
+  span.attr("peak_buffered_rows", std::to_string(stats.peakBufferedRows));
 }
 
 }  // namespace rebench

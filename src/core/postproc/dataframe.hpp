@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/postproc/columnar/kernels.hpp"
+#include "core/postproc/columnar/merge.hpp"
 #include "core/postproc/columnar/table.hpp"
 
 namespace rebench::obs {
@@ -135,5 +136,10 @@ class DataFrame {
   columnar::Table table_;
   obs::Tracer* tracer_ = nullptr;
 };
+
+/// Emits the `postproc.columnar.merge` span (inputs, rows, chunks,
+/// peak_buffered_rows) of one finished concatenation: DataFrame::concat
+/// and assimilatePerflogs both report through it.  No-op without a tracer.
+void emitMergeSpan(obs::Tracer* tracer, const columnar::ConcatStats& stats);
 
 }  // namespace rebench

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -10,7 +11,6 @@
 #include "core/postproc/columnar/colfile.hpp"
 #include "core/postproc/columnar/merge.hpp"
 #include "core/util/error.hpp"
-#include "core/util/strings.hpp"
 
 namespace rebench {
 
@@ -67,34 +67,24 @@ DataFrame assimilatePerflogs(std::span<const std::string> paths,
     std::ifstream in(path);
     if (!in) throw Error("cannot read perflog file '" + path + "'");
     std::vector<PerfLogEntry> batch;
-    batch.reserve(columnar::kChunkRows);
+    batch.reserve(std::min(countPerflogLines(path), columnar::kChunkRows));
     bool emitted = false;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (str::trim(line).empty()) continue;
+    forEachPerflogLine(in, [&](std::string_view line) {
       batch.push_back(PerfLogEntry::parse(line));
       if (batch.size() == columnar::kChunkRows) {
         appender.append(perflogToDataFrame(batch).table());
         batch.clear();
         emitted = true;
       }
-    }
+    });
     // An empty shard still contributes its (empty) 9-column schema, like
     // the old per-file concat did.
     if (!batch.empty() || !emitted) {
       appender.append(perflogToDataFrame(batch).table());
     }
   }
-  const columnar::ConcatStats stats = appender.stats();
-  columnar::Table merged = appender.take();
-  if (tracer != nullptr) {
-    obs::ScopedSpan span(tracer, "postproc.columnar.merge");
-    span.attr("inputs", std::to_string(stats.inputs));
-    span.attr("rows", std::to_string(stats.rows));
-    span.attr("chunks", std::to_string(stats.chunks));
-    span.attr("peak_buffered_rows", std::to_string(stats.peakBufferedRows));
-  }
-  return DataFrame::fromTable(std::move(merged));
+  emitMergeSpan(tracer, appender.stats());
+  return DataFrame::fromTable(appender.take());
 }
 
 DataFrame analysisFrameFromTable(const columnar::Table& table) {
@@ -114,11 +104,10 @@ DataFrame analysisFrameFromTable(const columnar::Table& table) {
 FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
                                       const std::string& path,
                                       obs::Tracer* tracer) {
-  const std::optional<std::string> read = readWholeFile(path);
+  std::optional<std::string> read = readWholeFile(path);
   if (!read) throw Error("cannot read perflog file '" + path + "'");
-  const std::string& bytes = *read;
   const std::string refName =
-      "colframe/" + store::ObjectStore::hashBytes(bytes);
+      "colframe/" + store::ObjectStore::hashBytes(*read);
 
   FrameCacheResult out;
   if (const std::optional<std::string> footer = store.ref(refName)) {
@@ -131,16 +120,15 @@ FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
     }
   }
 
-  // Parse line views straight out of the bytes already read and hashed.
+  // Parse the bytes already read and hashed, never a second read of a
+  // file that may have changed since; the stream takes them by move.
   std::vector<PerfLogEntry> entries;
-  const auto newlines = std::count(bytes.begin(), bytes.end(), '\n');
+  const auto newlines = std::count(read->begin(), read->end(), '\n');
   entries.reserve(static_cast<std::size_t>(newlines) + 1);
-  for (std::size_t start = 0; start < bytes.size();) {
-    const std::size_t end = std::min(bytes.find('\n', start), bytes.size());
-    const std::string_view line(bytes.data() + start, end - start);
-    if (!str::trim(line).empty()) entries.push_back(PerfLogEntry::parse(line));
-    start = end + 1;
-  }
+  std::istringstream in(std::move(*read));
+  forEachPerflogLine(in, [&](std::string_view line) {
+    entries.push_back(PerfLogEntry::parse(line));
+  });
   out.table = perflogToDataFrame(entries).table();
   store.setRef(refName, columnar::writeColFrame(store, out.table));
   emitConvertSpan(tracer, out.table, "converted");

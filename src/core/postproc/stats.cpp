@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/postproc/columnar/kernels.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
@@ -29,15 +30,9 @@ double tQuantile975(std::size_t degreesOfFreedom) {
 }  // namespace
 
 double percentile(std::span<const double> samples, double p) {
-  REBENCH_REQUIRE(!samples.empty() && p >= 0.0 && p <= 100.0);
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return columnar::sortedPercentile(sorted, p);
 }
 
 SummaryStats summarize(std::span<const double> samples) {

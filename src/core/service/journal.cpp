@@ -25,7 +25,7 @@ std::string renderExecuted(const std::string& submission,
       << ",\"sim_seconds\":" << formatExact(record.simSeconds)
       << ",\"aggregates\":[";
   for (std::size_t i = 0; i < record.aggregates.size(); ++i) {
-    const AggregateRecord& agg = record.aggregates[i];
+    const history::FomAggregate& agg = record.aggregates[i];
     if (i > 0) out << ",";
     out << "{\"test\":" << quote(agg.test)
         << ",\"target\":" << quote(agg.target)
@@ -34,7 +34,7 @@ std::string renderExecuted(const std::string& submission,
         << ",\"mean\":" << formatExact(agg.mean)
         << ",\"min\":" << formatExact(agg.min)
         << ",\"max\":" << formatExact(agg.max)
-        << ",\"ci\":" << formatExact(agg.ci)
+        << ",\"ci\":" << formatExact(agg.ciHalfwidth)
         << ",\"ess\":" << formatExact(agg.ess)
         << ",\"repeats\":" << agg.repeats << "}";
   }
@@ -55,18 +55,7 @@ ExecutedRecord parseExecuted(const obs::json::Value& value) {
   record.simSeconds = value.numberOr("sim_seconds", 0.0);
   if (value.contains("aggregates")) {
     for (const obs::json::Value& item : value.at("aggregates").array) {
-      AggregateRecord agg;
-      agg.test = item.stringOr("test", "");
-      agg.target = item.stringOr("target", "");
-      agg.fom = item.stringOr("fom", "");
-      agg.specHash = item.stringOr("spec", "");
-      agg.mean = item.numberOr("mean", 0.0);
-      agg.min = item.numberOr("min", 0.0);
-      agg.max = item.numberOr("max", 0.0);
-      agg.ci = item.numberOr("ci", 0.0);
-      agg.ess = item.numberOr("ess", 0.0);
-      agg.repeats = static_cast<int>(item.numberOr("repeats", 0));
-      record.aggregates.push_back(std::move(agg));
+      record.aggregates.push_back(history::FomAggregate::parse(item));
     }
   }
   record.failedStage = value.stringOr("failedStage", "");
@@ -114,14 +103,7 @@ ServiceJournal::ServiceJournal(const std::string& queueDir)
         } else if (kind == "verdict") {
           entry.pendingClaim = false;
           entry.state = State::kVerdict;
-          VerdictRecord verdict;
-          verdict.verdict = record.stringOr("verdict", "");
-          verdict.key = record.stringOr("key", "");
-          verdict.manifestHash = record.stringOr("manifest", "");
-          verdict.degraded =
-              record.contains("degraded") && record.at("degraded").boolean;
-          verdict.detail = record.stringOr("detail", "");
-          entry.verdict = verdict;
+          entry.verdict = VerdictRecord::parseFields(record);
         } else if (kind == "done") {
           entry.pendingClaim = false;
           entry.state = State::kDone;
@@ -180,14 +162,9 @@ void ServiceJournal::recordExecuted(const std::string& submission,
 
 void ServiceJournal::recordVerdict(const std::string& submission,
                                    const VerdictRecord& record) {
-  durableAppendLine(
-      path_,
-      "{\"kind\":\"verdict\",\"submission\":" + quote(submission) +
-          ",\"verdict\":" + quote(record.verdict) +
-          ",\"key\":" + quote(record.key) +
-          ",\"manifest\":" + quote(record.manifestHash) +
-          ",\"degraded\":" + (record.degraded ? "true" : "false") +
-          ",\"detail\":" + quote(record.detail) + "}");
+  durableAppendLine(path_, "{\"kind\":\"verdict\",\"submission\":" +
+                               quote(submission) + "," +
+                               record.renderFields() + "}");
   Entry& entry = entries_[submission];
   entry.state = State::kVerdict;
   entry.verdict = record;

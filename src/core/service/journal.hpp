@@ -31,24 +31,13 @@
 #include <string_view>
 #include <vector>
 
+#include "core/history/history.hpp"
+#include "core/service/queue.hpp"
+
 namespace rebench::service {
 
 inline constexpr std::string_view kServiceJournalSchema =
     "rebench.service_journal/1";
-
-/// One per-(test, target, fom) aggregate captured at full precision.
-struct AggregateRecord {
-  std::string test;
-  std::string target;
-  std::string fom;
-  std::string specHash;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double ci = 0.0;   // 95% CI half-width of the mean (rebench::infer)
-  double ess = 0.0;  // effective sample size
-  int repeats = 0;
-};
 
 /// Everything an `executed` checkpoint preserves about a campaign.
 struct ExecutedRecord {
@@ -57,7 +46,9 @@ struct ExecutedRecord {
   std::string perflogHash;
   int runs = 0;
   double simSeconds = 0.0;
-  std::vector<AggregateRecord> aggregates;
+  /// Per-(test, target, fom) aggregates; the checkpoint keeps every field
+  /// but `autocorr` at full precision (nothing downstream reads it).
+  std::vector<history::FomAggregate> aggregates;
   /// First failure, when the campaign did not fully pass ("" = passed).
   std::string failedStage;
   std::string failureClass;
@@ -66,15 +57,6 @@ struct ExecutedRecord {
   /// function of the run key, so serve may memoize it.  Journaled only
   /// when true, so passing campaigns keep their executed-line bytes.
   bool permanentFailure = false;
-};
-
-/// A `verdict` checkpoint.
-struct VerdictRecord {
-  std::string verdict;
-  std::string key;
-  std::string manifestHash;
-  bool degraded = false;
-  std::string detail;
 };
 
 /// Shortest-round-trip double formatting (std::to_chars): parsing the
@@ -109,7 +91,6 @@ class ServiceJournal {
   void recordDone(const std::string& submission);
 
   std::size_t corruptLines() const { return corruptLines_; }
-  const std::string& path() const { return path_; }
 
  private:
   struct Entry {

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <optional>
 #include <set>
-#include <sstream>
 
 #include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
@@ -102,16 +101,30 @@ int countUnanswered(const std::string& queueDir) {
   return count;
 }
 
+std::string VerdictRecord::renderFields() const {
+  using obs::json::quote;
+  return "\"verdict\":" + quote(verdict) + ",\"key\":" + quote(key) +
+         ",\"manifest\":" + quote(manifestHash) +
+         ",\"degraded\":" + (degraded ? "true" : "false") +
+         ",\"detail\":" + quote(detail);
+}
+
+VerdictRecord VerdictRecord::parseFields(const obs::json::Value& value) {
+  VerdictRecord record;
+  record.verdict = value.stringOr("verdict", "");
+  record.key = value.stringOr("key", "");
+  record.manifestHash = value.stringOr("manifest", "");
+  record.degraded =
+      value.contains("degraded") && value.at("degraded").boolean;
+  record.detail = value.stringOr("detail", "");
+  return record;
+}
+
 std::string Verdict::serialize() const {
   using obs::json::quote;
-  std::ostringstream out;
-  out << "{\"schema\":" << quote(kVerdictSchema)
-      << ",\"submission\":" << quote(submission)
-      << ",\"verdict\":" << quote(verdict) << ",\"key\":" << quote(key)
-      << ",\"manifest\":" << quote(manifestHash)
-      << ",\"degraded\":" << (degraded ? "true" : "false")
-      << ",\"detail\":" << quote(detail) << "}\n";
-  return out.str();
+  return "{\"schema\":" + quote(kVerdictSchema) +
+         ",\"submission\":" + quote(submission) + "," + renderFields() +
+         "}\n";
 }
 
 Verdict Verdict::parse(const std::string& text) {
@@ -122,13 +135,8 @@ Verdict Verdict::parse(const std::string& text) {
     throw Error("unsupported verdict schema '" + schema + "'");
   }
   Verdict verdict;
+  static_cast<VerdictRecord&>(verdict) = VerdictRecord::parseFields(value);
   verdict.submission = value.stringOr("submission", "");
-  verdict.verdict = value.stringOr("verdict", "");
-  verdict.key = value.stringOr("key", "");
-  verdict.manifestHash = value.stringOr("manifest", "");
-  verdict.degraded =
-      value.contains("degraded") && value.at("degraded").boolean;
-  verdict.detail = value.stringOr("detail", "");
   return verdict;
 }
 

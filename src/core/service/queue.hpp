@@ -58,15 +58,27 @@ std::vector<Submission> scanQueue(const std::string& queueDir);
 /// until it is answered, just as scanQueue lists it.
 int countUnanswered(const std::string& queueDir);
 
-/// The daemon's answer to one submission.
-struct Verdict {
-  std::string submission;  // submission id
+/// The fields the verdict file and the journal's `verdict` checkpoint
+/// share: one field list, rendered and parsed in one place.
+struct VerdictRecord {
   /// "cached" | "ran:clean" | "ran:regressed" | "failed:<taxonomy>"
   std::string verdict;
   std::string key;           // run-memoization key ("" when never derived)
   std::string manifestHash;  // campaign manifest hash ("" when never ran)
   bool degraded = false;     // served with reduced guarantees (see DESIGN §14)
   std::string detail;
+
+  /// The five fields as JSON members in fixed order ("verdict", "key",
+  /// "manifest", "degraded", "detail"), without braces, for a caller to
+  /// embed after its own leading members.
+  std::string renderFields() const;
+  /// Reads the five members from a parsed object; absent ones default.
+  static VerdictRecord parseFields(const obs::json::Value& value);
+};
+
+/// The daemon's answer to one submission.
+struct Verdict : VerdictRecord {
+  std::string submission;  // submission id
 
   /// One-line JSON, deterministic key order.  Deliberately excludes
   /// anything scheduling- or attempt-dependent so a crash-resumed daemon

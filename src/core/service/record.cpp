@@ -134,18 +134,7 @@ ManifestWrite writeCampaignManifest(store::ObjectStore& store,
         result.testName + "@" + result.system + ":" + result.partition;
     manifest.runs.push_back(runManifestFor(result, repeatsSeen[pair]++));
   }
-  for (const history::FomAggregate& fom : history::aggregateFoms(results)) {
-    store::FomManifest record;
-    record.test = fom.test;
-    record.target = fom.target;
-    record.fom = fom.fom;
-    record.mean = fom.mean;
-    record.ciHalfwidth = fom.ciHalfwidth;
-    record.ess = fom.ess;
-    record.autocorr = fom.autocorr;
-    record.repeats = fom.repeats;
-    manifest.foms.push_back(std::move(record));
-  }
+  manifest.foms = history::aggregateFoms(results);
   auto addArtifact = [&](const std::string& name, const std::string& bytes) {
     store::ArtifactRecord record;
     record.name = name;
@@ -195,27 +184,7 @@ ExecutedRecord summarizeCampaignOutcome(
     }
   }
   outcome.permanentFailure = !outcome.failedStage.empty() && allPermanent;
-  for (const history::FomAggregate& fom : foms) {
-    AggregateRecord agg;
-    agg.test = fom.test;
-    agg.target = fom.target;
-    agg.fom = fom.fom;
-    for (const TestRunResult& result : results) {
-      if (result.testName == fom.test &&
-          result.system + ":" + result.partition == fom.target &&
-          result.concreteSpec != nullptr) {
-        agg.specHash = result.concreteSpec->dagHash();
-        break;
-      }
-    }
-    agg.mean = fom.mean;
-    agg.min = fom.min;
-    agg.max = fom.max;
-    agg.ci = fom.ciHalfwidth;
-    agg.ess = fom.ess;
-    agg.repeats = fom.repeats;
-    outcome.aggregates.push_back(std::move(agg));
-  }
+  outcome.aggregates.assign(foms.begin(), foms.end());
   return outcome;
 }
 
@@ -235,27 +204,17 @@ HistoryAppendResult appendCampaignHistory(store::ObjectStore& store,
     }
   }
   std::vector<history::HistoryRecord> records;
-  for (const AggregateRecord& agg : outcome.aggregates) {
+  for (const history::FomAggregate& agg : outcome.aggregates) {
     history::HistoryRecord record;
-    record.test = agg.test;
-    record.target = agg.target;
-    record.fom = agg.fom;
+    static_cast<history::FomAggregate&>(record) = agg;
     record.manifestHash = outcome.manifestHash;
     record.envFingerprint = store::BuildCache::environmentFingerprint(
         systems.resolve(agg.target).first->environment);
-    record.specHash = agg.specHash;
-    record.mean = agg.mean;
-    record.min = agg.min;
-    record.max = agg.max;
-    record.ci = agg.ci;
-    record.ess = agg.ess;
-    record.repeats = agg.repeats;
     record.simTimestamp = outcome.simSeconds;
     records.push_back(std::move(record));
   }
   result.segment = index.appendSegment(records);
   result.records = static_cast<int>(records.size());
-  result.appended = true;
   return result;
 }
 
@@ -266,8 +225,8 @@ std::vector<history::GateResult> gateCampaign(
   // Verdicts are per series, so gating only the series the campaign
   // touched yields the same verdicts in the same order.  A series a
   // campaign aggregated twice is reported against its first aggregate.
-  std::map<std::string, const AggregateRecord*> aggregates;
-  for (const AggregateRecord& agg : outcome.aggregates) {
+  std::map<std::string, const history::FomAggregate*> aggregates;
+  for (const history::FomAggregate& agg : outcome.aggregates) {
     aggregates.emplace(agg.test + "|" + agg.target + "|" + agg.fom, &agg);
   }
   std::vector<history::HistoryRecord> records =
@@ -278,7 +237,7 @@ std::vector<history::GateResult> gateCampaign(
   std::vector<history::GateResult> touched;
   for (const history::GateResult& gate :
        history::checkRegression(records, options)) {
-    const AggregateRecord& agg = *aggregates.at(gate.series);
+    const history::FomAggregate& agg = *aggregates.at(gate.series);
     if (tracer != nullptr) {
       tracer->beginSpan("infer.changepoint");
       tracer->setAttr("test", agg.test);

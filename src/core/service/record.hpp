@@ -82,8 +82,9 @@ ManifestWrite writeCampaignManifest(store::ObjectStore& store,
                                     bool pinTrace);
 
 /// Reduces finished campaign results to the journal's executed record:
-/// full-precision aggregates, total simulated seconds, the first failure
-/// (if any) and whether every failure was permanent (memoizable).
+/// the aggregates `foms` (history::aggregateFoms of `results`), total
+/// simulated seconds, the first failure (if any) and whether every
+/// failure was permanent (memoizable).
 ExecutedRecord summarizeCampaignOutcome(std::span<const TestRunResult> results,
                                         std::span<const history::FomAggregate> foms,
                                         const std::string& manifestHash,
@@ -92,7 +93,6 @@ ExecutedRecord summarizeCampaignOutcome(std::span<const TestRunResult> results,
 struct HistoryAppendResult {
   std::string segment;  // "" when nothing was appended
   int records = 0;
-  bool appended = false;
 };
 
 /// Appends one history record per aggregate in `outcome`, citing its

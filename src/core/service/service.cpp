@@ -4,9 +4,11 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "core/fault/journal.hpp"
 #include "core/fault/quarantine.hpp"
@@ -36,6 +38,9 @@ std::atomic<bool> g_shutdownRequested{false};
 
 /// Everything one daemon run shares across submissions.
 struct RunContextState {
+  const SystemRegistry& systems;
+  const PackageRepository& repo;
+  const TestResolver& resolver;
   const ServeOptions& options;
   store::ObjectStore& store;
   store::RunCache& runCache;
@@ -45,9 +50,41 @@ struct RunContextState {
   telemetry::TelemetryPlane& plane;
 };
 
+/// The ServeReport counters health.json and the telemetry plane both
+/// publish, in health.json's key order.
+constexpr std::pair<const char*, int ServeReport::*> kHealthCounters[] = {
+    {"processed", &ServeReport::processed},
+    {"cached", &ServeReport::cached},
+    {"executed", &ServeReport::executed},
+    {"clean", &ServeReport::clean},
+    {"regressed", &ServeReport::regressed},
+    {"failed", &ServeReport::failed},
+    {"quarantined", &ServeReport::quarantined},
+    {"degraded", &ServeReport::degraded},
+    {"malformed", &ServeReport::malformed},
+    {"watchdog_fires", &ServeReport::watchdogFires},
+};
+
 void writeHealthSnapshot(const ServeOptions& options,
                          const ServeReport& report,
-                         const CircuitBreaker& breaker);
+                         const CircuitBreaker& breaker) {
+  std::ostringstream out;
+  out << "{\"schema\":\"rebench.serve_health/1\"";
+  for (const auto& [name, counter] : kHealthCounters) {
+    out << ",\"" << name << "\":" << report.*counter;
+  }
+  out << ",\"queue_depth\":" << report.queueDepth
+      << ",\"drained\":" << (report.drained ? "true" : "false")
+      << ",\"quarantined_keys\":[";
+  const std::vector<std::string> open = breaker.openKeys();
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    if (i > 0) out << ",";
+    out << obs::json::quote(open[i]);
+  }
+  out << "]}\n";
+  durableWriteFile(
+      (fs::path(options.queueDir) / "health.json").string(), out.str());
+}
 
 /// Mirrors the report counters into the telemetry plane and atomically
 /// refreshes QUEUE/health.json.  Runs at startup and after every filed
@@ -57,16 +94,9 @@ void refreshHealth(const RunContextState& ctx) {
   snapshot.queueDepth = countUnanswered(ctx.options.queueDir);
   writeHealthSnapshot(ctx.options, snapshot, ctx.breaker);
   telemetry::TelemetryPlane& plane = ctx.plane;
-  plane.setStat("processed", snapshot.processed);
-  plane.setStat("cached", snapshot.cached);
-  plane.setStat("executed", snapshot.executed);
-  plane.setStat("clean", snapshot.clean);
-  plane.setStat("regressed", snapshot.regressed);
-  plane.setStat("failed", snapshot.failed);
-  plane.setStat("quarantined", snapshot.quarantined);
-  plane.setStat("degraded", snapshot.degraded);
-  plane.setStat("malformed", snapshot.malformed);
-  plane.setStat("watchdog_fires", snapshot.watchdogFires);
+  for (const auto& [name, counter] : kHealthCounters) {
+    plane.setStat(name, snapshot.*counter);
+  }
   plane.setQueueDepth(snapshot.queueDepth);
   plane.setQuarantinedKeys(ctx.breaker.openKeys());
 }
@@ -76,30 +106,6 @@ void refreshHealth(const RunContextState& ctx) {
 void simulateCrash(const RunContextState& ctx) {
   ctx.report.crashed = true;
   telemetry::dumpFlightRecord(ctx.options.queueDir, ctx.plane.bus());
-}
-
-VerdictRecord toRecord(const Verdict& verdict) {
-  VerdictRecord record;
-  record.verdict = verdict.verdict;
-  record.key = verdict.key;
-  record.manifestHash = verdict.manifestHash;
-  record.degraded = verdict.degraded;
-  record.detail = verdict.detail;
-  return record;
-}
-
-/// Tallies a filed verdict into the report.
-void countVerdict(ServeReport& report, const Verdict& verdict) {
-  if (verdict.verdict == "cached") {
-    ++report.cached;
-  } else if (verdict.verdict == "ran:clean") {
-    ++report.clean;
-  } else if (verdict.verdict == "ran:regressed") {
-    ++report.regressed;
-  } else {
-    ++report.failed;
-  }
-  if (verdict.degraded) ++report.degraded;
 }
 
 /// Post-hoc serve.submission span + progress line: emitted after the
@@ -136,31 +142,31 @@ void noteVerdict(const RunContextState& ctx, const Verdict& verdict) {
   refreshHealth(ctx);
 }
 
-/// Files a verdict that bypasses the journal (malformed submissions,
-/// quarantine refusals): re-deriving it is trivially deterministic, so
-/// checkpoints would buy nothing.
-void fileDirectVerdict(const RunContextState& ctx, Verdict verdict) {
-  writeVerdict(ctx.options.queueDir, verdict);
-  countVerdict(ctx.report, verdict);
-  noteVerdict(ctx, verdict);
-}
+/// How a decided verdict reaches its file.
+enum class Filing {
+  /// No journal lines: malformed submissions, resolution failures and
+  /// quarantine refusals re-derive trivially, so checkpoints buy nothing.
+  kBypass,
+  /// Resume: a previous daemon journaled this verdict but never marked
+  /// it done; it is re-filed as journaled.
+  kAlreadyJournaled,
+  /// Journal the verdict (the crash-after "verdict" point), then file it.
+  kJournal,
+};
 
-void processSubmission(const RunContextState& ctx,
-                       const SystemRegistry& systems,
-                       const PackageRepository& repo,
-                       const TestResolver& resolver, const Submission& sub) {
-  ++ctx.report.processed;
-  Verdict verdict;
-  verdict.submission = sub.id;
-
+/// Decides `verdict` for one submission: refuses it, re-reads it from the
+/// journal, answers it from the RunCache or executes its campaign.
+/// Returns how to file it, or nullopt when a crash-after hook fired
+/// before any verdict existed.
+std::optional<Filing> decideVerdict(const RunContextState& ctx,
+                                    const Submission& sub, Verdict& verdict) {
   if (!sub.valid) {
     ++ctx.report.malformed;
     ctx.plane.noteStage(sub.id, "service", "malformed",
                         {{"error", sub.error}});
     verdict.verdict = "failed:permanent";
     verdict.detail = sub.error;
-    fileDirectVerdict(ctx, std::move(verdict));
-    return;
+    return Filing::kBypass;
   }
 
   store::CampaignInvocation inv = sub.invocation;
@@ -170,16 +176,15 @@ void processSubmission(const RunContextState& ctx,
 
   std::vector<RegressionTest> tests;
   try {
-    tests = resolver(inv);
+    tests = ctx.resolver(inv);
     if (tests.empty()) throw Error("no tests match the submission");
-    verdict.key = runKeyFor(inv, systems, repo, tests);
+    verdict.key = runKeyFor(inv, ctx.systems, ctx.repo, tests);
     ctx.plane.noteStage(sub.id, "service", "accepted",
                         {{"key", verdict.key}});
   } catch (const Error& e) {
     verdict.verdict = "failed:permanent";
     verdict.detail = e.what();
-    fileDirectVerdict(ctx, std::move(verdict));
-    return;
+    return Filing::kBypass;
   }
 
   // Crash-loop quarantine: a submission whose claims keep dying without
@@ -199,25 +204,15 @@ void processSubmission(const RunContextState& ctx,
     verdict.verdict = "failed:quarantined";
     verdict.detail = "submission crashed the daemon " +
                      std::to_string(crashes) + " time(s); refusing to retry";
-    fileDirectVerdict(ctx, std::move(verdict));
-    return;
+    return Filing::kBypass;
   }
 
   // Mid-flight resume: the verdict was already decided — re-file its
   // exact bytes without touching anything else.
   if (ctx.journal.state(sub.id) == ServiceJournal::State::kVerdict) {
     ctx.plane.noteStage(sub.id, "journal", "resume-verdict");
-    const VerdictRecord* record = ctx.journal.verdictOf(sub.id);
-    verdict.verdict = record->verdict;
-    verdict.key = record->key;
-    verdict.manifestHash = record->manifestHash;
-    verdict.degraded = record->degraded;
-    verdict.detail = record->detail;
-    writeVerdict(ctx.options.queueDir, verdict);
-    ctx.journal.recordDone(sub.id);
-    countVerdict(ctx.report, verdict);
-    noteVerdict(ctx, verdict);
-    return;
+    static_cast<VerdictRecord&>(verdict) = *ctx.journal.verdictOf(sub.id);
+    return Filing::kAlreadyJournaled;
   }
 
   ExecutedRecord outcome;
@@ -239,22 +234,10 @@ void processSubmission(const RunContextState& ctx,
       verdict.verdict = "cached";
       verdict.manifestHash = lookup.record->manifestHash;
       verdict.detail = "first ran " + lookup.record->verdict;
-      ctx.journal.recordVerdict(sub.id, toRecord(verdict));
-      ctx.plane.noteStage(sub.id, "journal", "verdict",
-                          {{"verdict", verdict.verdict}});
-      if (ctx.options.crashAfter == "verdict") {
-        simulateCrash(ctx);
-        return;
-      }
-      writeVerdict(ctx.options.queueDir, verdict);
-      ctx.journal.recordDone(sub.id);
       if (ctx.options.metrics != nullptr) {
         ctx.options.metrics->counter("serve.cache_hit").inc();
       }
-      countVerdict(ctx.report, verdict);
-      noteVerdict(ctx, verdict);
-      ctx.breaker.recordSuccess(sub.id);
-      return;
+      return Filing::kJournal;
     }
     if (lookup.outcome == store::RunCache::Outcome::kCorrupt) {
       // Degraded mode: the memo failed verification.  Re-execute (the
@@ -270,7 +253,7 @@ void processSubmission(const RunContextState& ctx,
     ctx.plane.noteStage(sub.id, "journal", "claim", {{"key", verdict.key}});
     if (ctx.options.crashAfter == "claim") {
       simulateCrash(ctx);
-      return;
+      return std::nullopt;
     }
 
     PipelineOptions pipelineOptions = pipelineOptionsFor(inv);
@@ -280,7 +263,7 @@ void processSubmission(const RunContextState& ctx,
     pipelineOptions.store = &ctx.store;
     pipelineOptions.cacheBuilds = inv.cache;
     pipelineOptions.bus = &ctx.plane.bus();
-    Pipeline pipeline(systems, repo, pipelineOptions);
+    Pipeline pipeline(ctx.systems, ctx.repo, pipelineOptions);
     PerfLog perflog;
     const std::vector<std::string> targets{inv.system};
     CampaignReport campaignReport;
@@ -311,7 +294,7 @@ void processSubmission(const RunContextState& ctx,
                         {{"runs", std::to_string(outcome.runs)}});
     if (ctx.options.crashAfter == "executed") {
       simulateCrash(ctx);
-      return;
+      return std::nullopt;
     }
   }
 
@@ -354,7 +337,7 @@ void processSubmission(const RunContextState& ctx,
     try {
       // Idempotent under crash/resume: a previous incarnation's append
       // of this manifest hash is detected and skipped.
-      appendCampaignHistory(ctx.store, outcome, systems,
+      appendCampaignHistory(ctx.store, outcome, ctx.systems,
                             /*skipIfCited=*/true);
       for (const history::GateResult& gate :
            gateCampaign(ctx.store, outcome, history::GateOptions{},
@@ -397,46 +380,41 @@ void processSubmission(const RunContextState& ctx,
     ctx.runCache.insert(record);
   }
 
-  ctx.journal.recordVerdict(sub.id, toRecord(verdict));
-  ctx.plane.noteStage(sub.id, "journal", "verdict",
-                      {{"verdict", verdict.verdict}});
-  if (ctx.options.crashAfter == "verdict") {
-    simulateCrash(ctx);
-    return;
-  }
-  writeVerdict(ctx.options.queueDir, verdict);
-  ctx.journal.recordDone(sub.id);
-  countVerdict(ctx.report, verdict);
-  noteVerdict(ctx, verdict);
-  ctx.breaker.recordSuccess(sub.id);
+  return Filing::kJournal;
 }
 
-void writeHealthSnapshot(const ServeOptions& options,
-                         const ServeReport& report,
-                         const CircuitBreaker& breaker) {
-  std::ostringstream out;
-  out << "{\"schema\":\"rebench.serve_health/1\""
-      << ",\"processed\":" << report.processed
-      << ",\"cached\":" << report.cached
-      << ",\"executed\":" << report.executed
-      << ",\"clean\":" << report.clean
-      << ",\"regressed\":" << report.regressed
-      << ",\"failed\":" << report.failed
-      << ",\"quarantined\":" << report.quarantined
-      << ",\"degraded\":" << report.degraded
-      << ",\"malformed\":" << report.malformed
-      << ",\"watchdog_fires\":" << report.watchdogFires
-      << ",\"queue_depth\":" << report.queueDepth
-      << ",\"drained\":" << (report.drained ? "true" : "false")
-      << ",\"quarantined_keys\":[";
-  const std::vector<std::string> open = breaker.openKeys();
-  for (std::size_t i = 0; i < open.size(); ++i) {
-    if (i > 0) out << ",";
-    out << obs::json::quote(open[i]);
+/// The one verdict ending: journals the decided verdict (per its Filing),
+/// writes the verdict file, marks the journal entry done, counts and
+/// announces it.
+void processSubmission(const RunContextState& ctx, const Submission& sub) {
+  ++ctx.report.processed;
+  Verdict verdict;
+  verdict.submission = sub.id;
+  const std::optional<Filing> filing = decideVerdict(ctx, sub, verdict);
+  if (!filing) return;
+  if (*filing == Filing::kJournal) {
+    ctx.journal.recordVerdict(sub.id, verdict);
+    ctx.plane.noteStage(sub.id, "journal", "verdict",
+                        {{"verdict", verdict.verdict}});
+    if (ctx.options.crashAfter == "verdict") {
+      simulateCrash(ctx);
+      return;
+    }
   }
-  out << "]}\n";
-  durableWriteFile(
-      (fs::path(options.queueDir) / "health.json").string(), out.str());
+  writeVerdict(ctx.options.queueDir, verdict);
+  if (*filing != Filing::kBypass) ctx.journal.recordDone(sub.id);
+  if (verdict.verdict == "cached") {
+    ++ctx.report.cached;
+  } else if (verdict.verdict == "ran:clean") {
+    ++ctx.report.clean;
+  } else if (verdict.verdict == "ran:regressed") {
+    ++ctx.report.regressed;
+  } else {
+    ++ctx.report.failed;
+  }
+  if (verdict.degraded) ++ctx.report.degraded;
+  noteVerdict(ctx, verdict);
+  if (*filing != Filing::kBypass) ctx.breaker.recordSuccess(sub.id);
 }
 
 }  // namespace
@@ -470,8 +448,8 @@ ServeReport Service::run() {
   CircuitBreaker breaker(options_.quarantineAfter);
   ServeReport report;
   telemetry::TelemetryPlane plane;
-  RunContextState ctx{options_,       store, runCache, journal,
-                      breaker, report, plane};
+  RunContextState ctx{systems_, repo_,    resolver_, options_, store,
+                      runCache, journal, breaker,   report,   plane};
   plane.setWatchdogArms((options_.stageTimeout > 0.0 ? 1 : 0) +
                         (options_.submissionTimeout > 0.0 ? 1 : 0));
 
@@ -504,7 +482,7 @@ ServeReport Service::run() {
         stop = true;
         break;
       }
-      processSubmission(ctx, systems_, repo_, resolver_, sub);
+      processSubmission(ctx, sub);
       processedThisRun.insert(sub.id);
       progressed = true;
       if (report.crashed) {

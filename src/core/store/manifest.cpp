@@ -202,16 +202,7 @@ CampaignManifest CampaignManifest::parse(const std::string& text) {
   }
   if (value.contains("foms")) {
     for (const obs::json::Value& fom : value.at("foms").array) {
-      FomManifest record;
-      record.test = fom.stringOr("test", "");
-      record.target = fom.stringOr("target", "");
-      record.fom = fom.stringOr("fom", "");
-      record.mean = fom.numberOr("mean", 0);
-      record.ciHalfwidth = fom.numberOr("ci", 0);
-      record.ess = fom.numberOr("ess", 0);
-      record.autocorr = fom.numberOr("autocorr", 0);
-      record.repeats = static_cast<int>(fom.numberOr("repeats", 0));
-      manifest.foms.push_back(std::move(record));
+      manifest.foms.push_back(history::FomAggregate::parse(fom));
     }
   }
   if (value.contains("artifacts")) {

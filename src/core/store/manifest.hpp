@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/history/history.hpp"
+
 namespace rebench::obs::json {
 struct Value;
 }  // namespace rebench::obs::json
@@ -121,25 +123,14 @@ struct ArtifactRecord {
   std::uint64_t bytes = 0;
 };
 
-/// Statistical summary of one (test, target, fom) series across the
-/// campaign's repeats (rebench::infer estimators) — the manifest view
-/// of what the history index records.
-struct FomManifest {
-  std::string test;
-  std::string target;
-  std::string fom;
-  double mean = 0.0;
-  double ciHalfwidth = 0.0;  // 95%, autocorrelation-corrected
-  double ess = 0.0;
-  double autocorr = 0.0;
-  int repeats = 0;
-};
-
 struct CampaignManifest {
   std::string schema = std::string(kManifestSchema);
   CampaignInvocation invocation;
   std::vector<RunManifest> runs;
-  std::vector<FomManifest> foms;  // canonical (test, target, fom) order
+  /// Statistical summary of each (test, target, fom) series across the
+  /// campaign's repeats, in canonical order (history::aggregateFoms).
+  /// Rendered: test, target, fom, mean, ci, ess, autocorr, repeats.
+  std::vector<history::FomAggregate> foms;
   std::vector<ArtifactRecord> artifacts;
 
   /// Deterministic JSON rendering (stable key order).

@@ -26,7 +26,10 @@ namespace rebench {
 
 class TaskGroup;
 
-/// Fixed-size pool of worker threads executing submitted tasks FIFO.
+/// Fixed-size pool of worker threads.  Tasks *start* in FIFO order: every
+/// executor — a worker, or a caller helping from wait() — pops the front
+/// of the one queue.  Completion order is not FIFO: with a helping waiter
+/// even ThreadPool(1) has two executors, whose tasks run concurrently.
 class ThreadPool {
  public:
   /// `numThreads == 0` means hardware_concurrency (at least 1).

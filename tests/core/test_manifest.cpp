@@ -43,6 +43,20 @@ CampaignManifest sampleManifest() {
   perflog.hash = ObjectStore::hashBytes("line1\nline2\n");
   perflog.bytes = 12;
   manifest.artifacts.push_back(perflog);
+
+  history::FomAggregate fom;
+  fom.test = "BabelstreamTest_omp";
+  fom.target = "noctua2:normal";
+  fom.fom = "Triad";
+  fom.specHash = "abc123";
+  fom.mean = 123.5;
+  fom.min = 120.0;
+  fom.max = 125.0;
+  fom.ciHalfwidth = 1.25;
+  fom.ess = 2.0;
+  fom.autocorr = -0.5;
+  fom.repeats = 2;
+  manifest.foms.push_back(fom);
   return manifest;
 }
 
@@ -78,6 +92,20 @@ TEST(ManifestTest, RenderParseRoundtrip) {
   ASSERT_EQ(parsed.artifacts.size(), 1u);
   EXPECT_EQ(parsed.artifacts[0].name, "perflog");
   EXPECT_EQ(parsed.artifacts[0].bytes, 12u);
+
+  ASSERT_EQ(parsed.foms.size(), 1u);
+  const history::FomAggregate& fom = parsed.foms[0];
+  EXPECT_EQ(fom.fom, "Triad");
+  EXPECT_EQ(fom.mean, 123.5);
+  EXPECT_EQ(fom.ciHalfwidth, 1.25);
+  EXPECT_EQ(fom.ess, 2.0);
+  EXPECT_EQ(fom.autocorr, -0.5);
+  EXPECT_EQ(fom.repeats, 2);
+  // The manifest view renders no spec hash, min or max: they parse back
+  // as defaults, and the render below still round-trips.
+  EXPECT_EQ(fom.specHash, "");
+  EXPECT_EQ(fom.min, 0.0);
+  EXPECT_EQ(fom.max, 0.0);
 
   // Deterministic rendering: parse -> render is a fixed point.
   EXPECT_EQ(parsed.render(), manifest.render());

@@ -261,6 +261,8 @@ TEST_F(ServiceFixture, ServiceJournalReplaysStateAcrossReopen) {
     EXPECT_EQ(outcome->simSeconds, 0.1 + 0.2);  // bit-exact, not approx
     ASSERT_EQ(outcome->aggregates.size(), 1u);
     EXPECT_EQ(outcome->aggregates[0].mean, 123.456789012345);
+    EXPECT_EQ(outcome->aggregates[0].specHash, "spec1");
+    EXPECT_EQ(outcome->aggregates[0].ciHalfwidth, 2.0);
     VerdictRecord verdict{"ran:clean", "key1", "m1", false, ""};
     journal.recordVerdict("s1", verdict);
     journal.recordDone("s1");

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -19,16 +20,19 @@ namespace rebench {
 namespace {
 
 TEST(ThreadPoolOrder, SingleThreadPoolRunsFifo) {
-  ThreadPool pool(1);
+  // Tasks start in FIFO order.  Waiting on a latch instead of pool.wait()
+  // leaves the one worker as the only executor (wait() would help run
+  // tasks concurrently), so run order is exactly start order.
   std::vector<int> order;
-  std::mutex m;
+  std::latch done(32);
+  ThreadPool pool(1);  // declared last: joins its worker before the rest go
   for (int i = 0; i < 32; ++i) {
-    pool.submit([&order, &m, i] {
-      std::lock_guard lock(m);
+    pool.submit([&order, &done, i] {
       order.push_back(i);
+      done.count_down();
     });
   }
-  pool.wait();
+  done.wait();
   ASSERT_EQ(order.size(), 32u);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
